@@ -14,7 +14,10 @@ deterministic: identical inputs and options reproduce identical iterates on
 a given platform.
 
 Designed for desk-scale problems (block dimension up to a few hundred, row
-counts in the low tens of thousands); the Schur matrix is formed densely.
+counts in the low tens of thousands).  The Schur matrix is held dense but
+assembled by row sparsity: a row with more than n stored entries in an n x n
+block goes through BLAS products, any other row through outer products of
+its entries (Fujisawa, Kojima and Nakata, Math. Prog. 79, 1997).
 """
 
 from __future__ import annotations
@@ -31,6 +34,8 @@ from .program import LinearFunctional, RealConicProgram, Row, SolveResult
 __all__ = ["SolverOptions", "solve"]
 
 _TINY = 1e-13
+# Element cap on every Schur assembly temporary (16 MB of float64).
+_CHUNK = 2_097_152
 
 
 @dataclass(frozen=True)
@@ -71,7 +76,9 @@ class _Workspace:
     via pivoted Cholesky; dependent but consistent rows would otherwise make
     the Schur system singular and let the multipliers drift along its null
     space), and free scalars that appear in no surviving row.  Dropped rows
-    report a zero multiplier and are re-checked in the final residuals.
+    report a zero multiplier and are re-checked in the final residuals.  Each
+    block's rows are then split once, by stored entries, into the dense and
+    sparse rows of the Schur assembly.
     """
 
     def __init__(self, prog: RealConicProgram):
@@ -122,20 +129,20 @@ class _Workspace:
                 (vals_, (rows_, cols_)), shape=(self.m, n * n)
             ).tocsr())
 
+        # Block part of the row Gram, sum_b R_b R_b'; the free part is added
+        # per use because the free columns change in between.
+        RR = None
+        if 1 <= self.m <= 12000:
+            RR = np.zeros((self.m, self.m))
+            for Rb in self.R:
+                RR += (Rb @ Rb.T).toarray()
+
         self.dropped_dependent: list[int] = []
         if 2 <= self.m <= 12000:
-            G = np.zeros((self.m, self.m))
-            for Rb in self.R:
-                G += (Rb @ Rb.T).toarray()
-            if self.nf_total:
-                G += self.F @ self.F.T
-            d = np.sqrt(np.diag(G))
-            d[d == 0.0] = 1.0
-            Gn = G / np.outer(d, d)
             _, piv, rank, info = sla.lapack.dpstrf(
-                Gn, tol=1e-10, lower=1, overwrite_a=True
+                _unit_diagonal_gram(RR, self.F)[0], tol=1e-10, lower=1,
+                overwrite_a=True,
             )
-            del G, Gn
             if info >= 0 and rank < self.m:
                 keep = np.sort(piv[:rank] - 1)
                 kept = set(keep.tolist())
@@ -147,6 +154,7 @@ class _Workspace:
                 self.F = self.F[keep]
                 self.R = [Rb[keep] for Rb in self.R]
                 self.m = int(rank)
+                RR = RR[np.ix_(keep, keep)]
 
         cf_full = np.zeros(self.nf_total)
         for k, c in prog.objective.free:
@@ -176,26 +184,27 @@ class _Workspace:
         # (see project_primal).
         self.gram = None
         self.gram_scale = None
-        if 1 <= self.m <= 12000:
-            G = np.zeros((self.m, self.m))
-            for Rb in self.R:
-                G += (Rb @ Rb.T).toarray()
-            if self.nf:
-                G += self.F @ self.F.T
-            d = np.sqrt(np.diag(G))
-            d[d == 0.0] = 1.0
-            Gf = _factor_spd(G / np.outer(d, d))
-            del G
-            if Gf is not None:
-                self.gram = Gf
-                self.gram_scale = d
+        if RR is not None:
+            Gn, self.gram_scale = _unit_diagonal_gram(RR, self.F)
+            del RR
+            self.gram = _factor_spd(Gn)
 
-        self.block_rows = []
-        self.R_act = []
-        for b in range(len(self.sizes)):
-            act = np.flatnonzero(np.diff(self.R[b].indptr))
-            self.block_rows.append(act)
-            self.R_act.append(self.R[b][act] if act.size else None)
+        # Rows with more than n stored entries are dense (densified per
+        # chunk); the others keep left-aligned, zero-padded entry lists.
+        self.schur_rows = []
+        for b, n in enumerate(self.sizes):
+            nnz = np.diff(self.R[b].indptr)
+            dense = np.flatnonzero(nnz > n)
+            sparse = np.flatnonzero((nnz > 0) & (nnz <= n))
+            Rs = self.R[b][sparse]
+            row = np.repeat(np.arange(sparse.size), np.diff(Rs.indptr))
+            slot = row, np.arange(Rs.nnz) - Rs.indptr[row]
+            pos = np.zeros((sparse.size, int(nnz[sparse].max(initial=0))), dtype=int)
+            coef = np.zeros(pos.shape)
+            pos[slot], coef[slot] = Rs.indices, Rs.data
+            self.schur_rows.append(
+                (dense, self.R[b][dense], sparse, Rs, pos // n, pos % n, coef)
+            )
 
         self.C = []
         for b, n in enumerate(self.sizes):
@@ -307,22 +316,59 @@ class _Workspace:
         return out
 
     def schur(self, Xs, Sinvs):
+        """M[k, l] = sum_b <A_kb, X_b A_lb S_b^-1>.
+
+        W_l = X A_l S^-1 takes two GEMMs for a dense row and the outer
+        products sum_e c_e X[:, p_e] S^-1[q_e, :] for a sparse one; it needs
+        no symmetrizing, since every A_k is symmetric.  M[dense, sparse] is
+        filled from M[sparse, dense].
+        """
         M = np.zeros((self.m, self.m))
         for b, n in enumerate(self.sizes):
-            act = self.block_rows[b]
-            if act.size == 0:
-                continue
-            Ra = self.R_act[b]
-            X = Xs[b]
-            Sinv = Sinvs[b]
-            chunk = max(1, min(act.size, 2_097_152 // (n * n)))
-            for c0 in range(0, act.size, chunk):
-                c1 = min(c0 + chunk, act.size)
-                A = np.asarray(Ra[c0:c1].todense()).reshape(c1 - c0, n, n)
-                T = np.matmul(np.matmul(X, A), Sinv)
-                W = 0.5 * (T + T.transpose(0, 2, 1))
-                M[:, act[c0:c1]] += self.R[b] @ W.reshape(c1 - c0, -1).T
+            dense, Rd, sparse, Rs, p, q, coef = self.schur_rows[b]
+            X, Sinv = Xs[b], Sinvs[b]
+            # Caps every temporary, the m_b x chunk products included.
+            chunk = max(1, _CHUNK // max(n * n, dense.size + sparse.size))
+            for c0 in range(0, dense.size, chunk):
+                cols = slice(c0, c0 + chunk)
+                Ac = Rd[cols].toarray()
+                W = (X @ Ac.reshape(-1, n, n) @ Sinv).reshape(len(Ac), -1)
+                for r0 in range(0, dense.size, chunk):
+                    rows = slice(r0, r0 + chunk)
+                    Ar = Ac if r0 == c0 else Rd[rows].toarray()
+                    _add_block(M, dense[rows], dense[cols], Ar @ W.T)
+                if sparse.size:
+                    T = Rs @ W.T
+                    _add_block(M, sparse, dense[cols], T)
+                    _add_block(M, dense[cols], sparse, T.T)
+            for c0 in range(0, sparse.size, chunk):
+                cols = slice(c0, c0 + chunk)
+                # entries are left-aligned: pad only to this chunk's longest
+                ent = cols, slice(0, np.diff(Rs.indptr[c0:c0 + chunk + 1]).max())
+                U = (X.T[p[ent]] * coef[ent][..., None]).transpose(0, 2, 1)
+                W = (U @ Sinv[q[ent]]).reshape(len(U), -1)
+                _add_block(M, sparse, sparse[cols], Rs @ W.T)
         return 0.5 * (M + M.T)
+
+
+def _add_block(M: np.ndarray, rows: np.ndarray, cols: np.ndarray, T) -> None:
+    """M[rows, cols] += T for sorted index sets, slicing contiguous ones."""
+    r, c = (
+        slice(int(ix[0]), int(ix[-1]) + 1) if ix[-1] - ix[0] + 1 == ix.size else ix
+        for ix in (rows, cols)
+    )
+    if not (isinstance(r, slice) or isinstance(c, slice)):
+        r, c = np.ix_(r, c)
+    M[r, c] += T
+
+
+def _unit_diagonal_gram(RR: np.ndarray, F: np.ndarray):
+    """The row Gram RR + F F' scaled to unit diagonal, and the scale."""
+    G = RR + F @ F.T if F.shape[1] else RR.copy()
+    d = np.sqrt(np.diag(G))
+    d[d == 0.0] = 1.0
+    G /= np.outer(d, d)
+    return G, d
 
 
 def _factor_spd(M: np.ndarray):
@@ -356,6 +402,18 @@ def _solve_sym(A: np.ndarray, B: np.ndarray) -> np.ndarray:
         except np.linalg.LinAlgError:
             jitter = 1e-14 * scale if jitter == 0.0 else jitter * 100.0
     return np.linalg.lstsq(A, B, rcond=None)[0]
+
+
+def _free_solver(H: np.ndarray):
+    """B -> H^-1 B from one LU of H, reused across right-hand sides.
+
+    An exactly zero pivot, where a fresh solve would raise, hands every
+    solve to _solve_sym and its graded diagonal shifts instead.
+    """
+    lu, piv, info = sla.lapack.dgetrf(H)
+    if info != 0:
+        return lambda B: _solve_sym(H, B)
+    return lambda B: sla.lu_solve((lu, piv), B, check_finite=False)
 
 
 def _max_step(P: np.ndarray, D: np.ndarray) -> float:
@@ -797,7 +855,7 @@ def solve(prog: RealConicProgram, options: SolverOptions | None = None) -> Solve
             break
         if ws.nf:
             Gmat = sla.cho_solve(Mf, ws.F, check_finite=False)
-            Hmat = ws.F.T @ Gmat
+            solve_free = _free_solver(ws.F.T @ Gmat)
 
         def solve_aug(h, g):
             # Block elimination on [[M, F], [F', 0]], plus iterative
@@ -807,7 +865,7 @@ def solve(prog: RealConicProgram, options: SolverOptions | None = None) -> Solve
                 t1 = sla.cho_solve(Mf, h1, check_finite=False)
                 if ws.nf == 0:
                     return t1, np.zeros(0)
-                df = _solve_sym(Hmat, ws.F.T @ t1 - g1)
+                df = solve_free(ws.F.T @ t1 - g1)
                 return t1 - Gmat @ df, df
 
             dy, df = once(h, g)

@@ -15,6 +15,7 @@ from realify import (
     SolverOptions,
     solve,
 )
+from realify.solver import _free_solver, _solve_sym, _Workspace
 
 
 def max_corner_program():
@@ -339,3 +340,104 @@ def test_dual_multipliers_satisfy_stationarity():
         sum(row.rhs * res.dual_row_values[k] for k, row in enumerate(prog.rows))
     )
     assert dual_obj == pytest.approx(res.objective, abs=1e-6 * (1 + abs(res.objective)))
+
+
+def rows_of_kinds(rng, sizes, kinds, n_free):
+    """Program whose row k touches block b as kinds[k][b] says.
+
+    None leaves the block out of the row; "diag", "off" and "pair" store
+    one diagonal entry, one off-diagonal entry (two stored coefficients) or
+    both; "dense" stores more than n coefficients of an n x n block.  A row
+    that touches no block carries free scalars only.
+    """
+    uppers = [[(i, j) for i in range(n) for j in range(i + 1, n)] for n in sizes]
+    rows = []
+    for row_kinds in kinds:
+        entries = []
+        for b, kind in enumerate(row_kinds):
+            n, upper = sizes[b], uppers[b]
+            if kind == "dense":
+                picks = rng.choice(len(upper), size=n // 2 + 1, replace=False)
+                spots = [upper[t] for t in picks] + [(0, 0)]
+            elif kind is None:
+                spots = []
+            else:
+                i = int(rng.integers(n))
+                off = upper[int(rng.integers(len(upper)))]
+                spots = {"diag": [(i, i)], "off": [off], "pair": [(i, i), off]}[kind]
+            entries += [(b, i, j, float(rng.standard_normal())) for i, j in spots]
+        free = ()
+        if not entries or rng.random() < 0.3:
+            free = ((int(rng.integers(n_free)), float(rng.standard_normal())),)
+        rows.append(Row(entries=tuple(sorted(entries)), free=free, rhs=1.0))
+    return RealConicProgram(
+        psd_blocks=tuple(sizes), n_free=n_free, rows=tuple(rows),
+        objective=LinearFunctional(), sense="minimize",
+    )
+
+
+def schur_reference(prog, active, Xs, Sinvs):
+    """M[k, l] = sum_b <A_kb, X_b A_lb S_b^-1> from dense coefficient matrices."""
+    M = np.zeros((len(active), len(active)))
+    for b, n in enumerate(prog.psd_blocks):
+        A = np.zeros((len(active), n, n))
+        for kk, k in enumerate(active):
+            for bb, i, j, c in prog.rows[k].entries:
+                if bb == b:
+                    A[kk, i, j] = A[kk, j, i] = c
+        M += np.tensordot(A, Xs[b] @ A @ Sinvs[b], axes=([1, 2], [1, 2]))
+    return M
+
+
+MIXED_KINDS = [
+    # block 0 dense rows only, block 1 sparse rows only, block 2 both;
+    # every sixth row has free scalars only
+    (None, None, None) if k % 6 == 5 else (
+        ("dense", None)[k % 2],
+        ("diag", "off", None, "pair")[k % 4],
+        ("dense", "diag", "off", "pair", None)[k % 5],
+    )
+    for k in range(30)
+]
+# Close to 290 dense rows of a 100 x 100 block: more than the 209 that one
+# 2**21-element chunk of 10**4-element matrices holds, so the dense-by-dense
+# products span chunks.
+CHUNKED_KINDS = [
+    (None, None) if k % 50 == 49 else (
+        "off" if k % 12 == 0 else "dense", "diag" if k % 7 == 0 else None,
+    )
+    for k in range(320)
+]
+
+
+@pytest.mark.parametrize("sizes, kinds", [
+    ((4, 5, 6), MIXED_KINDS),
+    ((100, 3), CHUNKED_KINDS),
+])
+def test_schur_matrix_matches_the_trace_formula(sizes, kinds):
+    rng = np.random.default_rng(26)
+    prog = rows_of_kinds(rng, sizes, kinds, n_free=3)
+    ws = _Workspace(prog)
+    Xs, Sinvs = [], []
+    for n in sizes:
+        g, h = rng.standard_normal((2, n, n))
+        Xs.append(g @ g.T + n * np.eye(n))
+        Sinvs.append(np.linalg.inv(h @ h.T + n * np.eye(n)))
+    M = ws.schur(Xs, Sinvs)
+    ref = schur_reference(prog, ws.active, Xs, Sinvs)
+    scale = np.abs(ref).max()
+    assert np.abs(np.diag(M) - np.diag(ref)).max() <= 1e-12 * scale
+    assert np.abs(M - ref).max() <= 1e-12 * scale
+    # rows with free scalars only have no Schur entries
+    free_only = [kk for kk, k in enumerate(ws.active) if not prog.rows[k].entries]
+    assert free_only and not M[free_only].any()
+
+
+def test_free_solver_falls_back_on_an_exactly_singular_system():
+    singular = np.array([[1.0, 1.0], [1.0, 1.0]])
+    B = np.array([[1.0], [2.0]])
+    assert np.array_equal(_free_solver(singular)(B), _solve_sym(singular, B))
+    regular = np.array([[2.0, 1.0], [1.0, 3.0]])
+    np.testing.assert_allclose(
+        _free_solver(regular)(B), np.linalg.solve(regular, B), rtol=1e-14
+    )
