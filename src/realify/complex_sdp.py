@@ -26,6 +26,15 @@ and reads the Hermitian candidate off as (X_1 + X_2) + (X_3 - X_3')i.  Its
 functionals touch only X_1 + X_2 and X_3 - X_3', so no structural rows are
 needed and both forms share one optimum; ``recover_complex_solution`` and
 ``embed_feasible`` move optimal points between the complex and real worlds.
+
+The reformulations build rows as array operations, one constraint at a
+time: the data functional of A_k becomes a full 2n x 2n coefficient matrix
+G (value sum G[i,j] X[i,j]) assembled from A_R and A_I by block placement,
+and G folds onto the canonical upper triangle, G[i,i] on the diagonal and
+0.5*G[i,j] + 0.5*G[j,i] above it.  Each canonical key receives at most two
+terms, so the rows equal, to the bit, what the entry-level ``add_*``
+builders accumulate; those builders remain for the relaxation layer, which
+places data entries one at a time.
 """
 
 from __future__ import annotations
@@ -272,22 +281,51 @@ def add_naive_imag(acc, blk, n, p, q, cre, cim) -> None:
     _add(acc, blk, p, q, cim)
 
 
-def _entries_from(acc) -> tuple:
-    return accumulate_entries(
-        (b, i, j, c) for (b, i, j), c in acc.items()
+def _dualview_matrices(a: ComplexMatrix) -> tuple[np.ndarray, np.ndarray]:
+    """Coefficient matrices G (functional sum G[i,j] X[i,j]) of the
+    dual-view Re and Im functionals of a; see add_dualview_real/imag."""
+    r, i = a.re, a.im
+    return np.block([[r, -i], [i, r]]), np.block([[i, r], [-r, i]])
+
+
+def _naive_matrices(a: ComplexMatrix) -> tuple[np.ndarray, np.ndarray]:
+    """As _dualview_matrices for the naive functionals (add_naive_real/imag)."""
+    r, i = a.re, a.im
+    z = np.zeros_like(r)
+    return np.block([[r, z], [-i, z]]), np.block([[i, z], [r, z]])
+
+
+def _fold(g: np.ndarray) -> tuple:
+    """Canonical block-0 entries of the functional sum G[i,j] X[i,j].
+
+    The diagonal keeps G[i,i]; the pair (i,j), (j,i) above it becomes
+    0.5*G[i,j] + 0.5*G[j,i]; zeros are dropped; keys come in row-major
+    upper-triangle order, the order accumulate_entries sorts them into.
+    """
+    iu, ju = np.triu_indices(len(g))
+    c = 0.5 * g[iu, ju] + 0.5 * g[ju, iu]
+    c[iu == ju] = np.diagonal(g)
+    nz = np.flatnonzero(c)
+    return tuple(zip(
+        [0] * nz.size, iu[nz].tolist(), ju[nz].tolist(), c[nz].tolist()
+    ))
+
+
+def _primal(sdp: ComplexSDP, matrices, extra_rows=()) -> RealConicProgram:
+    """Real-part then imaginary-part row per constraint, then extra_rows."""
+    rows = []
+    for k, a in enumerate(sdp.A):
+        g_re, g_im = matrices(a)
+        rows.append(Row(entries=_fold(g_re), rhs=float(sdp.b.re[k])))
+        rows.append(Row(entries=_fold(g_im), rhs=float(sdp.b.im[k])))
+    rows.extend(extra_rows)
+    return RealConicProgram(
+        psd_blocks=(2 * sdp.n,),
+        n_free=0,
+        rows=tuple(rows),
+        objective=LinearFunctional(entries=_fold(matrices(sdp.C)[0])),
+        sense="maximize",
     )
-
-
-def _matrix_functional(adder, mat: ComplexMatrix, blk: int) -> tuple:
-    acc: dict = {}
-    n = mat.n
-    for p in range(n):
-        for q in range(n):
-            cre = mat.re[p, q]
-            cim = mat.im[p, q]
-            if cre != 0.0 or cim != 0.0:
-                adder(acc, blk, n, p, q, cre, cim)
-    return _entries_from(acc)
 
 
 def reformulate_primal_naive(sdp: ComplexSDP) -> RealConicProgram:
@@ -297,31 +335,10 @@ def reformulate_primal_naive(sdp: ComplexSDP) -> RealConicProgram:
     part row (rhs Re b_k and Im b_k), followed by the n*(n+1) structural
     rows.  The objective uses the same Y_11/Y_21 functional shape.
     """
-    n = sdp.n
-    rows = []
-    for k, a in enumerate(sdp.A):
-        rows.append(Row(
-            entries=_matrix_functional(add_naive_real, a, 0),
-            rhs=float(sdp.b.re[k]),
-        ))
-        rows.append(Row(
-            entries=_matrix_functional(add_naive_imag, a, 0),
-            rhs=float(sdp.b.im[k]),
-        ))
-    for coeffs in structural_constraints(n):
-        rows.append(Row(
-            entries=accumulate_entries((0, i, j, c) for i, j, c in coeffs),
-            rhs=0.0,
-        ))
-    return RealConicProgram(
-        psd_blocks=(2 * n,),
-        n_free=0,
-        rows=tuple(rows),
-        objective=LinearFunctional(
-            entries=_matrix_functional(add_naive_real, sdp.C, 0)
-        ),
-        sense="maximize",
-    )
+    return _primal(sdp, _naive_matrices, (
+        Row(entries=accumulate_entries((0, i, j, c) for i, j, c in coeffs))
+        for coeffs in structural_constraints(sdp.n)
+    ))
 
 
 def reformulate_primal_dualview(sdp: ComplexSDP) -> RealConicProgram:
@@ -330,25 +347,7 @@ def reformulate_primal_dualview(sdp: ComplexSDP) -> RealConicProgram:
     All functionals read only X_1 + X_2 and X_3 - X_3', so the 2m data rows
     are the whole constraint set; no structural rows exist.
     """
-    rows = []
-    for k, a in enumerate(sdp.A):
-        rows.append(Row(
-            entries=_matrix_functional(add_dualview_real, a, 0),
-            rhs=float(sdp.b.re[k]),
-        ))
-        rows.append(Row(
-            entries=_matrix_functional(add_dualview_imag, a, 0),
-            rhs=float(sdp.b.im[k]),
-        ))
-    return RealConicProgram(
-        psd_blocks=(2 * sdp.n,),
-        n_free=0,
-        rows=tuple(rows),
-        objective=LinearFunctional(
-            entries=_matrix_functional(add_dualview_real, sdp.C, 0)
-        ),
-        sense="maximize",
-    )
+    return _primal(sdp, _dualview_matrices)
 
 
 def reformulate_dual(sdp: ComplexSDP) -> RealConicProgram:
@@ -364,52 +363,36 @@ def reformulate_dual(sdp: ComplexSDP) -> RealConicProgram:
     """
     n, m = sdp.n, sdp.m
     dim = 2 * n
+    iu, ju = np.triu_indices(dim)
 
-    # lin[p][q] maps free-variable index -> coefficient of LMI[p, q];
-    # cst[p][q] is the constant part (from C).
-    lin = [[dict() for _ in range(dim)] for _ in range(dim)]
-    cst = np.zeros((dim, dim))
-
-    def put(p, q, k, c):
-        if c != 0.0:
-            lin[p][q][k] = lin[p][q].get(k, 0.0) + c
-
+    # The doubled matrix of sum_k y_k A_k is sum_k Re(y_k) L_k + Im(y_k) L'_k
+    # with L_k = [[A_R, -A_I], [A_I, A_R]] and L'_k = -[[A_I, A_R],
+    # [-A_R, A_I]]; the row of key (p, q) takes -0.5 L[p,q] - 0.5 L[q,p]
+    # for every such L.  cst is the doubled matrix of -C.
+    lin = np.empty((iu.size, 2 * m))
     for k, a in enumerate(sdp.A):
-        kr, ki = k, m + k
-        for p in range(n):
-            for q in range(n):
-                ar = a.re[p, q]
-                ai = a.im[p, q]
-                # diagonal blocks: A_R * yR - A_I * yI
-                put(p, q, kr, ar)
-                put(n + p, n + q, kr, ar)
-                put(p, q, ki, -ai)
-                put(n + p, n + q, ki, -ai)
-                # top right: -(A_I * yR + A_R * yI); bottom left: +
-                put(p, n + q, kr, -ai)
-                put(p, n + q, ki, -ar)
-                put(n + p, q, kr, ai)
-                put(n + p, q, ki, ar)
-    for p in range(n):
-        for q in range(n):
-            cst[p, q] -= sdp.C.re[p, q]
-            cst[n + p, n + q] -= sdp.C.re[p, q]
-            cst[p, n + q] += sdp.C.im[p, q]
-            cst[n + p, q] -= sdp.C.im[p, q]
+        g_re, g_im = _dualview_matrices(a)
+        for col, mat in ((k, g_re), (m + k, -g_im)):
+            lin[:, col] = -0.5 * mat[iu, ju] - 0.5 * mat[ju, iu]
+    cst = np.zeros((dim, dim))
+    cst[:n, :n] -= sdp.C.re
+    cst[n:, n:] -= sdp.C.re
+    cst[:n, n:] += sdp.C.im
+    cst[n:, :n] -= sdp.C.im
 
+    at, ks = np.nonzero(lin)
+    pairs = list(zip(ks.tolist(), lin[at, ks].tolist()))
+    ends = np.cumsum(np.count_nonzero(lin, axis=1)).tolist()
+    rhs = (0.5 * (cst[iu, ju] + cst[ju, iu])).tolist()
     rows = []
-    for p in range(dim):
-        for q in range(p, dim):
-            free_acc: dict[int, float] = {}
-            for k, c in lin[p][q].items():
-                free_acc[k] = free_acc.get(k, 0.0) - 0.5 * c
-            for k, c in lin[q][p].items():
-                free_acc[k] = free_acc.get(k, 0.0) - 0.5 * c
-            rows.append(Row(
-                entries=((0, p, q, 1.0 if p == q else 0.5),),
-                free=accumulate_free(free_acc.items()),
-                rhs=0.5 * (cst[p, q] + cst[q, p]),
-            ))
+    start = 0
+    for p, q, end, r in zip(iu.tolist(), ju.tolist(), ends, rhs):
+        rows.append(Row(
+            entries=((0, p, q, 1.0 if p == q else 0.5),),
+            free=tuple(pairs[start:end]),
+            rhs=r,
+        ))
+        start = end
 
     return RealConicProgram(
         psd_blocks=(dim,),

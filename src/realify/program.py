@@ -15,7 +15,9 @@ coefficients when a row is built.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+import math
+from dataclasses import dataclass
+from itertools import chain
 from typing import Iterable, Sequence
 
 import numpy as np
@@ -62,6 +64,54 @@ def accumulate_free(raw: Iterable[tuple[int, float]]) -> tuple[FreeEntry, ...]:
     return tuple((k, c) for k, c in sorted(acc.items()) if c != 0.0)
 
 
+def stack_entries(funs: Sequence["LinearFunctional"]):
+    """Entries of ``funs`` as arrays, in stored order.
+
+    Returns ``(fun, b, i, j, c)`` over the block entries and ``(fun, k, c)``
+    over the free entries, ``fun`` being the functional's position in
+    ``funs``.
+    """
+    ne = [len(f.entries) for f in funs]
+    nf = [len(f.free) for f in funs]
+    ent = np.fromiter(
+        chain.from_iterable(chain.from_iterable(f.entries for f in funs)),
+        dtype=float, count=4 * sum(ne),
+    ).reshape(-1, 4)
+    fre = np.fromiter(
+        chain.from_iterable(chain.from_iterable(f.free for f in funs)),
+        dtype=float, count=2 * sum(nf),
+    ).reshape(-1, 2)
+    at = np.arange(len(funs))
+    b, i, j = ent[:, :3].astype(np.intp).T
+    return (
+        (np.repeat(at, ne), b, i, j, ent[:, 3]),
+        (np.repeat(at, nf), fre[:, 0].astype(np.intp), fre[:, 1]),
+    )
+
+
+def _values(
+    funs: Sequence["LinearFunctional"],
+    blocks: Sequence[np.ndarray],
+    free: np.ndarray,
+) -> np.ndarray:
+    """Value of every functional in ``funs``.
+
+    Each value is summed from 0.0 in stored order, block entries then free
+    entries, as a loop over the entries would; ``np.bincount`` adds its
+    weights in input order.
+    """
+    (at, b, i, j, c), (fat, k, fc) = stack_entries(funs)
+    x = np.empty(c.size)
+    for blk in np.flatnonzero(np.bincount(b)).tolist():
+        sel = b == blk
+        ii, jj, mat = i[sel], j[sel], blocks[blk]
+        x[sel] = np.where(ii == jj, mat[ii, jj], mat[ii, jj] + mat[jj, ii])
+    terms = np.concatenate([c * x, fc * np.asarray(free)[k]])
+    return np.bincount(
+        np.concatenate([at, fat]), weights=terms, minlength=len(funs)
+    )
+
+
 @dataclass(frozen=True)
 class LinearFunctional:
     """One sparse functional over the program variables."""
@@ -70,15 +120,7 @@ class LinearFunctional:
     free: tuple[FreeEntry, ...] = ()
 
     def value(self, blocks: Sequence[np.ndarray], free: np.ndarray) -> float:
-        total = 0.0
-        for b, i, j, c in self.entries:
-            if i == j:
-                total += c * blocks[b][i, i]
-            else:
-                total += c * (blocks[b][i, j] + blocks[b][j, i])
-        for k, c in self.free:
-            total += c * free[k]
-        return float(total)
+        return float(_values((self,), blocks, free)[0])
 
 
 @dataclass(frozen=True)
@@ -120,7 +162,7 @@ class RealConicProgram:
         )):
             self._check_functional(where, fun)
         for k, r in enumerate(self.rows):
-            if not np.isfinite(r.rhs):
+            if not math.isfinite(r.rhs):
                 raise ValueError(f"row {k}: non-finite rhs")
 
     def _check_functional(self, where: str, fun: LinearFunctional) -> None:
@@ -137,7 +179,7 @@ class RealConicProgram:
             if (b, i, j) in seen:
                 raise ValueError(f"{where}: duplicate key ({b},{i},{j})")
             seen.add((b, i, j))
-            if not np.isfinite(c):
+            if not math.isfinite(c):
                 raise ValueError(f"{where}: non-finite coefficient")
         seen_free: set[int] = set()
         for k, c in fun.free:
@@ -146,7 +188,7 @@ class RealConicProgram:
             if k in seen_free:
                 raise ValueError(f"{where}: duplicate free index {k}")
             seen_free.add(k)
-            if not np.isfinite(c):
+            if not math.isfinite(c):
                 raise ValueError(f"{where}: non-finite coefficient")
 
     @property
@@ -157,9 +199,8 @@ class RealConicProgram:
         self, blocks: Sequence[np.ndarray], free: np.ndarray
     ) -> np.ndarray:
         """Vector of functional(vars) - rhs over all rows."""
-        return np.array(
-            [r.value(blocks, free) - r.rhs for r in self.rows], dtype=float
-        )
+        rhs = np.array([r.rhs for r in self.rows], dtype=float)
+        return _values(self.rows, blocks, free) - rhs
 
 
 @dataclass(frozen=True)

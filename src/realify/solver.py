@@ -29,7 +29,13 @@ import numpy as np
 import scipy.linalg as sla
 import scipy.sparse as sp
 
-from .program import LinearFunctional, RealConicProgram, Row, SolveResult
+from .program import (
+    LinearFunctional,
+    RealConicProgram,
+    Row,
+    SolveResult,
+    stack_entries,
+)
 
 __all__ = ["SolverOptions", "solve"]
 
@@ -102,31 +108,25 @@ class _Workspace:
         self.b = np.array(
             [prog.rows[k].rhs for k in self.active], dtype=float
         )
+        (kk, bs, i, j, c), (fkk, kfree, fc) = stack_entries(
+            [prog.rows[k] for k in self.active]
+        )
         self.F = np.zeros((self.m, self.nf_total))
-        coo: list[tuple[list, list, list]] = [
-            ([], [], []) for _ in self.sizes
-        ]
-        for kk, k in enumerate(self.active):
-            row = prog.rows[k]
-            for b, i, j, c in row.entries:
-                rows_, cols_, vals_ = coo[b]
-                n = self.sizes[b]
-                rows_.append(kk)
-                cols_.append(i * n + j)
-                vals_.append(c)
-                if i != j:
-                    rows_.append(kk)
-                    cols_.append(j * n + i)
-                    vals_.append(c)
-            for kfree, c in row.free:
-                self.F[kk, kfree] = c
+        self.F[fkk, kfree] = fc
         # R[b] holds vec(A_kb) per active row; used for all operator
-        # applications and the Schur assembly.
+        # applications and the Schur assembly.  Each entry (i, j) is
+        # followed by its mirror (j, i) when off the diagonal.
         self.R = []
         for b, n in enumerate(self.sizes):
-            rows_, cols_, vals_ = coo[b]
+            sel = np.flatnonzero(bs == b)
+            ib, jb = i[sel], j[sel]
+            twice = 1 + (ib != jb)
+            cols = np.stack([ib * n + jb, jb * n + ib], axis=1)
+            cols = cols[np.arange(2) < twice[:, None]]
+            rows_ = np.repeat(kk[sel], twice)
             self.R.append(sp.coo_matrix(
-                (vals_, (rows_, cols_)), shape=(self.m, n * n)
+                (np.repeat(c[sel], twice), (rows_, cols)),
+                shape=(self.m, n * n),
             ).tocsr())
 
         # Block part of the row Gram, sum_b R_b R_b'; the free part is added

@@ -13,6 +13,9 @@ from realify import (
     ComplexSDP,
     ComplexVector,
     HermitianMatrix,
+    LinearFunctional,
+    RealConicProgram,
+    Row,
     SolverOptions,
     apply_constraints,
     embed_feasible,
@@ -25,6 +28,13 @@ from realify import (
     structural_constraints,
     solve,
 )
+from realify.complex_sdp import (
+    add_dualview_imag,
+    add_dualview_real,
+    add_naive_imag,
+    add_naive_real,
+)
+from realify.program import accumulate_entries, accumulate_free
 
 LOOSE = SolverOptions(tol_gap=1e-7, tol_primal=1e-7, tol_dual=1e-7)
 
@@ -257,3 +267,137 @@ def test_reformulations_are_deterministic():
     assert reformulate_primal_naive(s1) == reformulate_primal_naive(s2)
     assert reformulate_primal_dualview(s1) == reformulate_primal_dualview(s2)
     assert reformulate_dual(s1) == reformulate_dual(s2)
+
+
+# Oracles for the reformulations: every functional rebuilt entry by entry
+# through the add_* adders, and the dual form's slack rows through one
+# dict per LMI position.
+
+
+def entrywise_functional(adder, mat):
+    acc = {}
+    n = mat.n
+    for p in range(n):
+        for q in range(n):
+            cre, cim = mat.re[p, q], mat.im[p, q]
+            if cre != 0.0 or cim != 0.0:
+                adder(acc, 0, n, p, q, cre, cim)
+    return accumulate_entries((b, i, j, c) for (b, i, j), c in acc.items())
+
+
+def entrywise_primal(sdp, add_re, add_im, extra_rows=()):
+    rows = []
+    for k, a in enumerate(sdp.A):
+        rows.append(Row(entries=entrywise_functional(add_re, a),
+                        rhs=float(sdp.b.re[k])))
+        rows.append(Row(entries=entrywise_functional(add_im, a),
+                        rhs=float(sdp.b.im[k])))
+    return RealConicProgram(
+        psd_blocks=(2 * sdp.n,),
+        n_free=0,
+        rows=tuple(rows) + tuple(extra_rows),
+        objective=LinearFunctional(
+            entries=entrywise_functional(add_re, sdp.C)
+        ),
+        sense="maximize",
+    )
+
+
+def entrywise_dual(sdp):
+    n, m = sdp.n, sdp.m
+    dim = 2 * n
+    lin = [[dict() for _ in range(dim)] for _ in range(dim)]
+    cst = np.zeros((dim, dim))
+
+    def put(p, q, k, c):
+        if c != 0.0:
+            lin[p][q][k] = lin[p][q].get(k, 0.0) + c
+
+    for k, a in enumerate(sdp.A):
+        kr, ki = k, m + k
+        for p in range(n):
+            for q in range(n):
+                ar, ai = a.re[p, q], a.im[p, q]
+                put(p, q, kr, ar)
+                put(n + p, n + q, kr, ar)
+                put(p, q, ki, -ai)
+                put(n + p, n + q, ki, -ai)
+                put(p, n + q, kr, -ai)
+                put(p, n + q, ki, -ar)
+                put(n + p, q, kr, ai)
+                put(n + p, q, ki, ar)
+    for p in range(n):
+        for q in range(n):
+            cst[p, q] -= sdp.C.re[p, q]
+            cst[n + p, n + q] -= sdp.C.re[p, q]
+            cst[p, n + q] += sdp.C.im[p, q]
+            cst[n + p, q] -= sdp.C.im[p, q]
+    rows = []
+    for p in range(dim):
+        for q in range(p, dim):
+            acc = {}
+            for k, c in lin[p][q].items():
+                acc[k] = acc.get(k, 0.0) - 0.5 * c
+            for k, c in lin[q][p].items():
+                acc[k] = acc.get(k, 0.0) - 0.5 * c
+            rows.append(Row(
+                entries=((0, p, q, 1.0 if p == q else 0.5),),
+                free=accumulate_free(acc.items()),
+                rhs=0.5 * (cst[p, q] + cst[q, p]),
+            ))
+    return RealConicProgram(
+        psd_blocks=(dim,),
+        n_free=2 * m,
+        rows=tuple(rows),
+        objective=LinearFunctional(free=accumulate_free(
+            [(k, float(sdp.b.re[k])) for k in range(m)]
+            + [(m + k, -float(sdp.b.im[k])) for k in range(m)]
+        )),
+        sense="minimize",
+    )
+
+
+def float_bits(prog):
+    """Every number of a program, as the bits of a float64."""
+    out = []
+    for fun in (prog.objective,) + prog.rows:
+        for entry in fun.entries + fun.free:
+            out.extend(entry)
+        out.append(getattr(fun, "rhs", 0.0))
+    return np.array(out, dtype=float).view(np.int64)
+
+
+def oracle_sdps():
+    rng = np.random.default_rng(18)
+    for n in (1, 2, 5):
+        mats = [rand_complex_matrix(rng, n) for _ in range(3)]
+        holes = rand_complex_matrix(rng, n).to_complex()
+        holes[rng.random((n, n)) < 0.4] = 0.0
+        holes[0, 0] = 0.0
+        mats += [
+            ComplexMatrix.from_complex(holes),
+            ComplexMatrix(rng.standard_normal((n, n)), np.zeros((n, n))),
+            ComplexMatrix(np.zeros((n, n)), rng.standard_normal((n, n))),
+            ComplexMatrix(np.zeros((n, n)), np.zeros((n, n))),
+        ]
+        m = len(mats)
+        b = ComplexVector(rng.standard_normal(m), rng.standard_normal(m))
+        yield ComplexSDP(C=rand_hermitian(rng, n), A=tuple(mats), b=b)
+
+
+@pytest.mark.parametrize("sdp", list(oracle_sdps()), ids=["n1", "n2", "n5"])
+def test_reformulations_match_the_entrywise_oracle(sdp):
+    structural = tuple(
+        Row(entries=accumulate_entries((0, i, j, c) for i, j, c in coeffs))
+        for coeffs in structural_constraints(sdp.n)
+    )
+    pairs = [
+        (reformulate_primal_dualview(sdp),
+         entrywise_primal(sdp, add_dualview_real, add_dualview_imag)),
+        (reformulate_primal_naive(sdp),
+         entrywise_primal(sdp, add_naive_real, add_naive_imag, structural)),
+        (reformulate_dual(sdp), entrywise_dual(sdp)),
+    ]
+    for got, want in pairs:
+        assert got == want
+        assert np.array_equal(float_bits(got), float_bits(want))

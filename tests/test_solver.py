@@ -433,6 +433,31 @@ def test_schur_matrix_matches_the_trace_formula(sizes, kinds):
     assert free_only and not M[free_only].any()
 
 
+def test_row_matrices_hold_each_entry_and_its_mirror():
+    rng = np.random.default_rng(27)
+    base = rows_of_kinds(rng, (4, 5, 6), MIXED_KINDS, n_free=3)
+    shuffled = tuple(
+        Row(entries=tuple(r.entries[t] for t in rng.permutation(len(r.entries))),
+            free=r.free, rhs=r.rhs)
+        for r in base.rows
+    )
+    prog = RealConicProgram(
+        psd_blocks=base.psd_blocks, n_free=base.n_free,
+        rows=(Row(),) + shuffled, objective=base.objective, sense=base.sense,
+    )
+    ws = _Workspace(prog)
+    assert ws.active[0] == 1
+    for b, n in enumerate(prog.psd_blocks):
+        want = np.zeros((len(ws.active), n * n))
+        for kk, k in enumerate(ws.active):
+            for bb, i, j, c in prog.rows[k].entries:
+                if bb == b:
+                    want[kk, i * n + j] = want[kk, j * n + i] = c
+        assert ws.R[b].has_canonical_format
+        assert np.array_equal(ws.R[b].toarray(), want)
+        assert ws.R[b].nnz == np.count_nonzero(want)
+
+
 def test_free_solver_falls_back_on_an_exactly_singular_system():
     singular = np.array([[1.0, 1.0], [1.0, 1.0]])
     B = np.array([[1.0], [2.0]])
