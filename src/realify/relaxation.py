@@ -1,22 +1,22 @@
 """Order-d moment relaxation of a CPOP as a real SDP, in both forms.
 
-A lower bound lambda on f over {g_i >= 0} is certified by writing
+A lower bound lambda on f over {g_i >= 0, g_j = 0} is certified by writing
 
     f - lambda  =  sum_i <A^i_{beta,gamma}, H^i>  over monomial pairs,
 
-with one Hermitian PSD multiplier block H^i per localizing constraint plus
-the multiplier H^0 paired against the moment-matrix data.  Matching
-coefficients of z^beta conj(z)^gamma produces one equality row per pair;
-conjugate symmetry makes the (gamma, beta) half redundant, so rows are
-emitted for beta <= gamma only, and the diagonal imaginary rows, which
-cancel identically after that folding, are omitted in both forms.  Each
+with the multiplier H^0 paired against the moment-matrix data and one
+Hermitian multiplier H^i per constraint: PSD for an inequality, free for an
+equality (Josz and Molzahn, SIAM J. Optim. 2018).  Matching coefficients of
+z^beta conj(z)^gamma produces one equality row per pair; conjugate symmetry
+makes the (gamma, beta) half redundant, so rows are emitted for
+beta <= gamma only, and the diagonal imaginary rows, which cancel
+identically after that folding, are omitted in both forms.  Each PSD
 Hermitian block is then realified per complex_sdp: the doubled block with
 its structural rows ("naive") or the unstructured block whose functionals
-touch only X1+X2 and X3-X3' ("dualview").
+touch only X1+X2 and X3-X3' ("dualview").  A free multiplier H = P + iQ
+needs no embedding: it enters both forms as the same w^2 free scalars.
 
-Equality constraints g = 0 contribute localizing blocks for both g and -g,
-back to back, so the assembled block list can be longer than the constraint
-list.  The dual multipliers of the coefficient rows are exactly the moment
+The dual multipliers of the coefficient rows are exactly the moment
 sequence of the relaxation, which ``extract_moments`` reads off.
 """
 
@@ -42,6 +42,7 @@ from .program import (
     Row,
     SolveResult,
     accumulate_entries,
+    accumulate_free,
 )
 
 __all__ = [
@@ -68,18 +69,6 @@ def _is_canonical(key: MomentKey) -> bool:
     return _graded(beta) <= _graded(gamma)
 
 
-def _expanded_blocks(p: CPOP):
-    # (source constraint index, polynomial, half-degree) per localizing
-    # block; equalities contribute +g then -g
-    out = []
-    for idx, (g, kind) in enumerate(p.constraints):
-        di = p.constraint_orders[idx]
-        out.append((idx, g, di))
-        if kind == "eq":
-            out.append((idx, -g, di))
-    return out
-
-
 def _require_order(p: CPOP, d: int) -> None:
     if d < p.d_min:
         raise ValueError(
@@ -94,9 +83,9 @@ class DataMatrixSet:
 
     ``entries`` maps each arising moment key to the positions it touches:
     tuples (block, row, col, complex coefficient).  Block 0 carries the
-    moment-matrix data (single unit entry per key); later blocks carry the
-    localizing data of ``sources``, indexed into the CPOP constraint list
-    with -1 marking the moment block itself.
+    moment-matrix data (single unit entry per key); block i + 1 carries the
+    localizing data of constraint i.  ``sources`` indexes each block into
+    the CPOP constraint list, with -1 marking the moment block itself.
     """
 
     order: int
@@ -123,7 +112,8 @@ def build_data_matrices(p: CPOP, d: int) -> DataMatrixSet:
     _require_order(p, d)
     one = {((0,) * p.s, (0,) * p.s): 1.0 + 0j}
     blocks = [(-1, one, 0)] + [
-        (src, g.terms, di) for src, g, di in _expanded_blocks(p)
+        (src, g.terms, p.constraint_orders[src])
+        for src, (g, _) in enumerate(p.constraints)
     ]
     bases = tuple(monomial_basis(p.s, d - di) for _, _, di in blocks)
     acc: dict[MomentKey, dict[tuple[int, int, int], complex]] = {}
@@ -183,20 +173,36 @@ class RelaxationArtifact:
     lambda_id: int = 0
 
 
-def assemble_hsos(
-    p: CPOP, d: int, form: str, halve: bool = True
-) -> RelaxationArtifact:
+def _add_free_multiplier(acc, base, w, p, q, c, part) -> None:
+    """Re or Im (``part``) of c * H[p, q] for a free Hermitian w x w
+    H = P + iQ whose scalars start at ``base``: P[i, j] for i <= j, then
+    Q[i, j] for i < j, each triangle row-major; Q[q, p] = -Q[p, q]."""
+    i, j = min(p, q), max(p, q)
+    sign = 1.0 if p < q else -1.0
+    real = base + i * (2 * w - i + 1) // 2 + (j - i)
+    imag = base + w * (w + 1) // 2 + i * (2 * w - i - 1) // 2 + (j - i - 1)
+    # Re(cH) = Re(c) P - Im(c) Q,  Im(cH) = Im(c) P + Re(c) Q
+    cp, cq = (c.real, -c.imag) if part == "re" else (c.imag, c.real)
+    acc[real] = acc.get(real, 0.0) + cp
+    if p != q:
+        acc[imag] = acc.get(imag, 0.0) + sign * cq
+
+
+def assemble_hsos(p: CPOP, d: int, form: str) -> RelaxationArtifact:
     """Emit the order-d relaxation as a real conic program.
 
     Row layout: real rows for every canonical key in basis order, then
     imaginary rows for the strictly off-diagonal keys, then (naive form
-    only) the structural rows of each doubled block.  The bound variable is
-    free scalar 0 and enters exactly once, in the real row of the constant
-    key; the objective is to maximize it.
+    only) the structural rows of each doubled PSD block.  The PSD blocks
+    are the moment block and one per "ge" constraint, in constraint order.
 
-    ``halve=False`` emits rows for ALL ordered pairs including the
-    diagonal imaginary ones; the optimum must not move.  It exists so the
-    redundancy of the dropped half can be checked, not for production use.
+    Free scalar 0 is the bound variable: it enters exactly once, in the
+    real row of the constant key, and the objective is to maximize it.
+    Each equality's free multiplier H = P + iQ (w x w) follows, in
+    constraint order, as w(w+1)/2 scalars P[p, q] (p <= q) and then
+    w(w-1)/2 scalars Q[p, q] (p < q), each triangle row-major.  A data
+    entry c at (p, q) of an equality block adds Re(c H[p, q]) to its key's
+    real row and Im(c H[p, q]) to its imaginary row, in both forms.
     """
     if form not in ("naive", "dualview"):
         raise ValueError(f"unknown form {form!r}")
@@ -204,29 +210,43 @@ def assemble_hsos(
         raise ValueError("objective polynomial is empty")
     data = build_data_matrices(p, d)
     dims = data.block_dims
-    add_re = add_naive_real if form == "naive" else add_dualview_real
-    add_im = add_naive_imag if form == "naive" else add_dualview_imag
+    add = {
+        "re": add_naive_real if form == "naive" else add_dualview_real,
+        "im": add_naive_imag if form == "naive" else add_dualview_imag,
+    }
     exps = data.bases[0].exponents
     w0 = len(exps)
     zero_key = ((0,) * p.s, (0,) * p.s)
+    re_keys = [(exps[i], exps[j]) for i in range(w0) for j in range(i, w0)]
+    im_keys = [(exps[i], exps[j]) for i in range(w0) for j in range(i + 1, w0)]
 
-    if halve:
-        re_keys = [
-            (exps[i], exps[j]) for i in range(w0) for j in range(i, w0)
-        ]
-        im_keys = [
-            (exps[i], exps[j]) for i in range(w0) for j in range(i + 1, w0)
-        ]
-    else:
-        re_keys = [(b, g) for b in exps for g in exps]
-        im_keys = list(re_keys)
+    # data block -> PSD block index, or -> first free scalar of its H
+    psd_of: dict[int, int] = {}
+    free_of: dict[int, int] = {}
+    n_free = 1
+    for blk, (src, w) in enumerate(zip(data.sources, dims)):
+        if src >= 0 and p.constraints[src][1] == "eq":
+            free_of[blk] = n_free
+            n_free += w * w
+        else:
+            psd_of[blk] = len(psd_of)
+    psd_dims = [dims[blk] for blk in psd_of]
 
-    def functional(key, adder):
+    def row(key, part, rhs):
         acc: dict = {}
+        free: dict = {0: 1.0} if (key, part) == (zero_key, "re") else {}
         for blk, pb, qb, c in data.entries.get(key, ()):
-            adder(acc, blk, dims[blk], pb, qb, c.real, c.imag)
-        return accumulate_entries(
-            (b, i, j, c) for (b, i, j), c in acc.items()
+            if blk in psd_of:
+                add[part](acc, psd_of[blk], dims[blk], pb, qb, c.real, c.imag)
+            else:
+                base = free_of[blk]
+                _add_free_multiplier(free, base, dims[blk], pb, qb, c, part)
+        return Row(
+            entries=accumulate_entries(
+                (b, i, j, c) for (b, i, j), c in acc.items()
+            ),
+            free=accumulate_free(free.items()),
+            rhs=rhs,
         )
 
     rows: list[Row] = []
@@ -235,17 +255,14 @@ def assemble_hsos(
         b = complex(p.f.terms.get(key, 0j))
         if key[0] == key[1] and b.imag != 0.0:
             raise ValueError(f"diagonal objective coefficient {key!r} not real")
-        free = ((0, 1.0),) if key == zero_key else ()
         row_index[(key, "re")] = len(rows)
-        rows.append(
-            Row(entries=functional(key, add_re), free=free, rhs=b.real)
-        )
+        rows.append(row(key, "re", b.real))
     for key in im_keys:
         b = complex(p.f.terms.get(key, 0j))
         row_index[(key, "im")] = len(rows)
-        rows.append(Row(entries=functional(key, add_im), rhs=b.imag))
+        rows.append(row(key, "im", b.imag))
     if form == "naive":
-        for blk, w in enumerate(dims):
+        for blk, w in enumerate(psd_dims):
             for triples in structural_constraints(w):
                 rows.append(
                     Row(
@@ -257,8 +274,8 @@ def assemble_hsos(
                 )
 
     program = RealConicProgram(
-        psd_blocks=tuple(2 * w for w in dims),
-        n_free=1,
+        psd_blocks=tuple(2 * w for w in psd_dims),
+        n_free=n_free,
         rows=tuple(rows),
         objective=LinearFunctional(free=((0, 1.0),)),
         sense="maximize",
@@ -266,7 +283,7 @@ def assemble_hsos(
     return RelaxationArtifact(
         order=d,
         form=form,
-        blocks=tuple(zip(data.sources, (2 * w for w in dims))),
+        blocks=tuple((data.sources[blk], 2 * dims[blk]) for blk in psd_of),
         program=program,
         row_index=row_index,
     )
@@ -279,10 +296,11 @@ def size_report(p: CPOP, d: int) -> dict[str, int]:
     ``m_dualview`` the exact row count omega^2 of the dual-view form.
     ``m_naive`` counts the doubled form the way its bookkeeping is usually
     quoted: a real and an imaginary row for every canonical pair plus
-    structural rows for one moment block and ONE localizing block per
+    structural rows for one moment block and one localizing block per
     constraint, i.e. 2w(w+1) + sum_i w_i(w_i+1).  The materialized naive
     program instead drops the identically-zero diagonal imaginary rows and
-    expands equalities into two blocks, so its true row count is reported
+    gives equalities free multipliers, which need no structural rows, so
+    its true row count w^2 + w(w+1) + sum_{ge} w_i(w_i+1) is reported
     separately as ``m_naive_assembled``.
     """
     _require_order(p, d)
@@ -290,20 +308,15 @@ def size_report(p: CPOP, d: int) -> dict[str, int]:
     wis = [
         math.comb(p.s + d - di, d - di) for di in p.constraint_orders
     ]
-    expanded = [
-        wi
-        for wi, (_, kind) in zip(wis, p.constraints)
-        for _ in range(2 if kind == "eq" else 1)
-    ]
+    ge = [wi for wi, (_, kind) in zip(wis, p.constraints) if kind == "ge"]
     return {
         "n_sdp": 2 * w,
         "m_dualview": w * w,
         "m_naive": 2 * w * w + 2 * w + sum(wi * (wi + 1) for wi in wis),
         "m_naive_assembled": w * w
         + w * (w + 1)
-        + sum(wi * (wi + 1) for wi in expanded),
+        + sum(wi * (wi + 1) for wi in ge),
         "t": len(p.constraints),
-        "t_expanded": len(expanded),
     }
 
 

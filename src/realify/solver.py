@@ -22,20 +22,13 @@ its entries (Fujisawa, Kojima and Nakata, Math. Prog. 79, 1997).
 
 from __future__ import annotations
 
-import dataclasses
 from dataclasses import dataclass
 
 import numpy as np
 import scipy.linalg as sla
 import scipy.sparse as sp
 
-from .program import (
-    LinearFunctional,
-    RealConicProgram,
-    Row,
-    SolveResult,
-    stack_entries,
-)
+from .program import RealConicProgram, SolveResult, stack_entries
 
 __all__ = ["SolverOptions", "solve"]
 
@@ -62,7 +55,6 @@ class SolverOptions:
     tol_dual: float = 1e-8
     max_iter: int = 200
     step_fraction: float = 0.98
-    verbose: bool = False
 
     def __post_init__(self) -> None:
         for name in ("tol_gap", "tol_primal", "tol_dual"):
@@ -81,10 +73,13 @@ class _Workspace:
     combinations of earlier ones (rank detection on the normalized row Gram
     via pivoted Cholesky; dependent but consistent rows would otherwise make
     the Schur system singular and let the multipliers drift along its null
-    space), and free scalars that appear in no surviving row.  Dropped rows
-    report a zero multiplier and are re-checked in the final residuals.  Each
-    block's rows are then split once, by stored entries, into the dense and
-    sparse rows of the Schur assembly.
+    space), free scalars that appear in no surviving row, and free scalars
+    whose columns are linear combinations of earlier ones (the equality
+    multipliers of a moment relaxation carry such syzygies, g_j H_i = g_i H_j).
+    Dropped rows report a zero multiplier and are re-checked in the final
+    residuals; dropped scalars are reported as zero.  Each block's rows are
+    then split once, by stored entries, into the dense and sparse rows of the
+    Schur assembly.
     """
 
     def __init__(self, prog: RealConicProgram):
@@ -431,246 +426,6 @@ def _sym(A: np.ndarray) -> np.ndarray:
     return 0.5 * (A + A.T)
 
 
-def _negated(e1, e2) -> bool:
-    """Exact sign-flip test between two per-block entry tuples."""
-    if len(e1) != len(e2):
-        return False
-    m2 = {(i, j): c for i, j, c in e2}
-    for i, j, c in e1:
-        c2 = m2.get((i, j))
-        if c2 is None or c2 != -c:
-            return False
-    return True
-
-
-def _tri_index(n: int, i: int, j: int) -> int:
-    return i * (2 * n - i + 1) // 2 + (j - i)
-
-
-def _fuse_opposite_blocks(prog: RealConicProgram):
-    """Detect twin PSD blocks carrying exactly opposite data and absorb
-    their difference into free scalars.
-
-    A matched pair (P, N) enters every shared row, and the objective, with
-    coefficient matrices that are exact negations of each other, so the
-    program depends on the pair only through D = P - N; any rows private to
-    one of the two blocks must come in identical twos (same coefficients,
-    zero right-hand sides, nothing else in the row), in which case one copy
-    is kept, rewritten onto D.  Solved directly, such a pair has no strictly
-    complementary point: the dual slacks of both blocks are forced to zero
-    and the primal optimal face is an unbounded ray along (T, T), which
-    drags iterates off to huge norms and poisons the Schur system.  Fusing
-    the pair into an unconstrained symmetric D (stored as upper-triangle
-    scalars) removes the degeneracy without changing optimum, duals, or
-    objective value.
-
-    The fused interior solution is split back as P = pos(D), N = neg(D)
-    (eigenvalue clipping), after which the caller re-checks every original
-    row; a program whose private rows are not preserved by that split shows
-    up there and is downgraded rather than misreported.
-
-    Returns (fused_program, plan) or None when no pair qualifies.
-    """
-    sizes = prog.psd_blocks
-    nb = len(sizes)
-    if nb < 2:
-        return None
-    row_blocks: list[dict] = []
-    for row in prog.rows:
-        d: dict = {}
-        for b, i, j, c in row.entries:
-            d.setdefault(b, []).append((i, j, c))
-        row_blocks.append({b: tuple(v) for b, v in d.items()})
-    obj_blocks: dict = {}
-    for b, i, j, c in prog.objective.entries:
-        obj_blocks.setdefault(b, []).append((i, j, c))
-    obj_blocks = {b: tuple(v) for b, v in obj_blocks.items()}
-
-    used: set[int] = set()
-    pairs: list[tuple[int, int]] = []
-    drop_partner: dict[int, int] = {}
-    for b1 in range(nb):
-        if b1 in used:
-            continue
-        for b2 in range(b1 + 1, nb):
-            if b2 in used or sizes[b1] != sizes[b2]:
-                continue
-            o1, o2 = obj_blocks.get(b1), obj_blocks.get(b2)
-            if (o1 is None) != (o2 is None):
-                continue
-            if o1 is not None and not _negated(o1, o2):
-                continue
-            priv1: list[int] = []
-            priv2: list[int] = []
-            shared = False
-            ok = True
-            for k, rb in enumerate(row_blocks):
-                e1, e2 = rb.get(b1), rb.get(b2)
-                if e1 is None and e2 is None:
-                    continue
-                if e1 is not None and e2 is not None:
-                    if not _negated(e1, e2):
-                        ok = False
-                        break
-                    shared = True
-                elif e1 is not None:
-                    priv1.append(k)
-                else:
-                    priv2.append(k)
-            if not ok or not shared or len(priv1) != len(priv2):
-                continue
-            for k1, k2 in zip(priv1, priv2):
-                r1, r2 = prog.rows[k1], prog.rows[k2]
-                if (
-                    r1.free or r2.free
-                    or r1.rhs != 0.0 or r2.rhs != 0.0
-                    or len(row_blocks[k1]) != 1 or len(row_blocks[k2]) != 1
-                    or row_blocks[k1][b1] != row_blocks[k2][b2]
-                ):
-                    ok = False
-                    break
-            if not ok:
-                continue
-            used.add(b1)
-            used.add(b2)
-            pairs.append((b1, b2))
-            drop_partner.update(dict(zip(priv2, priv1)))
-            break
-    if not pairs or len(used) == nb:
-        return None
-
-    block_map: dict[int, int] = {}
-    keep: list[int] = []
-    for b in range(nb):
-        if b not in used:
-            block_map[b] = len(keep)
-            keep.append(b)
-    scalar_base: dict[int, int] = {}
-    second_of: set[int] = set()
-    pair_list: list[tuple[int, int, int, int]] = []
-    nf = prog.n_free
-    for b1, b2 in pairs:
-        n = sizes[b1]
-        scalar_base[b1] = nf
-        second_of.add(b2)
-        pair_list.append((b1, b2, n, nf))
-        nf += n * (n + 1) // 2
-
-    def rewrite(fun: LinearFunctional):
-        entries = []
-        free = list(fun.free)
-        for b, i, j, c in fun.entries:
-            if b in second_of:
-                continue
-            if b in scalar_base:
-                n = sizes[b]
-                w = 2.0 if i < j else 1.0
-                free.append((scalar_base[b] + _tri_index(n, i, j), w * c))
-            else:
-                entries.append((block_map[b], i, j, c))
-        return tuple(entries), tuple(sorted(free))
-
-    new_rows: list[Row] = []
-    row_map: list[tuple[int, float]] = [(0, 0.0)] * prog.n_rows
-    for k, row in enumerate(prog.rows):
-        if k in drop_partner:
-            continue
-        entries, free = rewrite(row)
-        row_map[k] = (len(new_rows), 1.0)
-        new_rows.append(Row(entries=entries, free=free, rhs=row.rhs))
-    for k2, k1 in drop_partner.items():
-        row_map[k2] = (row_map[k1][0], -1.0)
-    oe, of = rewrite(prog.objective)
-    fused = RealConicProgram(
-        psd_blocks=tuple(sizes[b] for b in keep),
-        n_free=nf,
-        rows=tuple(new_rows),
-        objective=LinearFunctional(entries=oe, free=of),
-        sense=prog.sense,
-    )
-    return fused, (pair_list, keep, row_map)
-
-
-def _split_structured(D: np.ndarray) -> tuple[np.ndarray, np.ndarray] | None:
-    """Positive/negative split of D that respects a 2x2 rotation structure.
-
-    Twin blocks produced by the Hermitian embedding live (up to solver
-    tolerance) in the subspace [[P, -Q], [Q, P]] with P symmetric and Q
-    skew.  A plain eigendecomposition of D splits correctly but smears the
-    accumulated off-subspace drift across both parts, where the private
-    structural rows of the embedding see it amplified.  Instead, split the
-    complex carrier P + iQ, whose parts re-embed exactly on-subspace, and
-    hand each side half of the drift so the difference stays exactly D.
-
-    Returns None when D is nowhere near the subspace; callers then fall
-    back to the plain split.
-    """
-    h = D.shape[0] // 2
-    P = _sym(0.5 * (D[:h, :h] + D[h:, h:]))
-    Q = 0.5 * (D[h:, :h] - D[h:, :h].T)
-    S = D - np.block([[P, -Q], [Q, P]])
-    if np.linalg.norm(S) > 1e-4 * (1.0 + np.linalg.norm(D)):
-        return None
-    w, U = np.linalg.eigh(P + 1j * Q)
-
-    def embed(vals):
-        H = (U * vals) @ U.conj().T
-        R = _sym(H.real)
-        I = 0.5 * (H.imag - H.imag.T)
-        return np.block([[R, -I], [I, R]])
-
-    half = 0.5 * S
-    return embed(np.maximum(w, 0.0)) + half, embed(np.maximum(-w, 0.0)) - half
-
-
-def _unfuse_result(
-    prog: RealConicProgram, plan, inner: SolveResult, opts: SolverOptions
-) -> SolveResult:
-    """Map a fused-program solution back onto the original block layout."""
-    pair_list, keep, row_map = plan
-    blocks: list = [None] * len(prog.psd_blocks)
-    for pos, b in enumerate(keep):
-        blocks[b] = inner.primal_blocks[pos]
-    fv = np.asarray(inner.free_values, dtype=float)
-    for b1, b2, n, base in pair_list:
-        D = np.zeros((n, n))
-        idx = base
-        for i in range(n):
-            D[i, i:] = fv[idx : idx + n - i]
-            D[i:, i] = fv[idx : idx + n - i]
-            idx += n - i
-        split = _split_structured(D) if n % 2 == 0 else None
-        if split is None:
-            w, U = np.linalg.eigh(D)
-            blocks[b1] = _sym((U * np.maximum(w, 0.0)) @ U.T)
-            blocks[b2] = _sym((U * np.maximum(-w, 0.0)) @ U.T)
-        else:
-            blocks[b1], blocks[b2] = split
-    f_full = fv[: prog.n_free].copy()
-    duals = np.zeros(prog.n_rows)
-    for k, (rid, sgn) in enumerate(row_map):
-        duals[k] = sgn * inner.dual_row_values[rid]
-    res = dict(inner.residuals)
-    status = inner.status
-    out_blocks = tuple(blocks)
-    if prog.n_rows:
-        rhs_scale = 1.0 + max(abs(row.rhs) for row in prog.rows)
-        resid = prog.row_residuals(out_blocks, f_full)
-        full_p = float(np.abs(resid).max()) / rhs_scale
-        res["primal_inf"] = full_p
-        if status == "optimal" and full_p > 10.0 * opts.tol_primal:
-            status = "numerical"
-    return SolveResult(
-        status=status,
-        objective=prog.objective.value(out_blocks, f_full),
-        primal_blocks=out_blocks,
-        free_values=f_full,
-        dual_row_values=duals,
-        residuals=res,
-        iterations=inner.iterations,
-    )
-
-
 def solve(prog: RealConicProgram, options: SolverOptions | None = None) -> SolveResult:
     """Solve a carrier program; see the module docstring for the method.
 
@@ -680,12 +435,6 @@ def solve(prog: RealConicProgram, options: SolverOptions | None = None) -> Solve
     a breakdown; "max_iter" exhaustion, with the best iterate found.
     """
     opts = options or SolverOptions()
-
-    fused = _fuse_opposite_blocks(prog)
-    if fused is not None:
-        inner_prog, plan = fused
-        return _unfuse_result(prog, plan, solve(inner_prog, options), opts)
-
     ws = _Workspace(prog)
 
     rhs_scale = 1.0 + max(
@@ -812,12 +561,6 @@ def solve(prog: RealConicProgram, options: SolverOptions | None = None) -> Solve
             no_gain += 1
             if no_gain >= 6:
                 break
-
-        if opts.verbose:
-            print(
-                f"  it {it:3d}  pobj {pobj: .6e}  dobj {dobj: .6e}  "
-                f"p {primal_inf:.2e}  d {dual_inf:.2e}  g {gap:.2e}"
-            )
 
         if (
             primal_inf <= opts.tol_primal

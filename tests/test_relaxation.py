@@ -96,11 +96,7 @@ def test_localizing_matrix_reconstruction_oracle():
     data = build_data_matrices(p, d)
     y = random_conjugate_symmetric_moments(p.s, d, rng)
 
-    polys = [None]
-    for g, kind in p.constraints:
-        polys.append(g)
-        if kind == "eq":
-            polys.append(-g)
+    polys = [None] + [g for g, _ in p.constraints]
 
     for blk in range(1, len(data.bases)):
         exps = data.bases[blk].exponents
@@ -187,12 +183,14 @@ def test_moment_matrix_requires_every_key():
 def test_assembled_shapes_for_published_sphere_case():
     p = gen_sphere_instance(5, seed=0)
     dv = assemble_hsos(p, 2, "dualview")
-    assert dv.program.psd_blocks == (42, 12, 12)
+    assert dv.program.psd_blocks == (42,)
+    assert dv.program.n_free == 37
     assert dv.program.n_rows == 441
-    assert dv.blocks == ((-1, 42), (0, 12), (0, 12))
+    assert dv.blocks == ((-1, 42),)
     nv = assemble_hsos(p, 2, "naive")
-    assert nv.program.psd_blocks == (42, 12, 12)
-    assert nv.program.n_rows == 987
+    assert nv.program.psd_blocks == (42,)
+    assert nv.program.n_free == 37
+    assert nv.program.n_rows == 903
     rep = size_report(p, 2)
     assert rep["m_dualview"] == dv.program.n_rows
     assert rep["m_naive_assembled"] == nv.program.n_rows
@@ -212,12 +210,80 @@ def test_bound_variable_enters_only_the_constant_real_row():
         art = assemble_hsos(p, 2, form)
         zero_key = (((0, 0), (0, 0)), "re")
         hits = [
-            k for k, row in enumerate(art.program.rows) if row.free
+            k
+            for k, row in enumerate(art.program.rows)
+            for kf, _ in row.free
+            if kf == 0
         ]
         assert hits == [art.row_index[zero_key]]
-        assert art.program.rows[hits[0]].free == ((0, 1.0),)
+        assert art.program.rows[hits[0]].free[0] == (0, 1.0)
         assert art.program.objective.free == ((0, 1.0),)
         assert art.program.sense == "maximize"
+
+
+def random_hermitian(w, rng):
+    g = rng.standard_normal((w, w)) + 1j * rng.standard_normal((w, w))
+    return g + g.conj().T
+
+
+def free_coordinates(h):
+    """P[i, j] (i <= j) then Q[i, j] (i < j), each triangle row-major."""
+    return np.concatenate(
+        [h.real[np.triu_indices(len(h))], h.imag[np.triu_indices(len(h), 1)]]
+    )
+
+
+EMBED = {
+    "dualview": lambda h: np.block(
+        [[h.real / 2, h.imag / 2], [-h.imag / 2, h.real / 2]]
+    ),
+    "naive": lambda h: np.block([[h.real, -h.imag], [h.imag, h.real]]),
+}
+
+
+def test_data_rows_pair_every_block_with_its_hermitian_multiplier():
+    # A PSD localizing block between two equalities, so both the block and
+    # the free-scalar numbering have to skip over the other kind.
+    u = gen_unitnorm_instance(3, seed=4)
+    (g0, _), (g1, _), (g2, _) = u.constraints
+    p = CPOP(s=3, f=u.f, constraints=((g0, "eq"), (g1, "ge"), (g2, "eq")))
+    data = build_data_matrices(p, 2)
+    free_mult = [False, True, False, True]
+    rng = np.random.default_rng(31)
+    hs = []
+    for w, is_free in zip(data.block_dims, free_mult):
+        h = random_hermitian(w, rng)
+        hs.append(h if is_free else h @ h.conj().T)
+    lam = rng.standard_normal()
+    free = np.concatenate(
+        [[lam]] + [free_coordinates(h) for h, f in zip(hs, free_mult) if f]
+    )
+    zero_key = ((0, 0, 0), (0, 0, 0))
+    arts = {}
+    for form, embed in EMBED.items():
+        art = arts[form] = assemble_hsos(p, 2, form)
+        prog = art.program
+        assert prog.psd_blocks == (2 * data.block_dims[0], 2 * data.block_dims[2])
+        assert prog.n_free == free.size
+        blocks = [embed(h) for h, f in zip(hs, free_mult) if not f]
+        for (key, part), rid in art.row_index.items():
+            z = sum(c * hs[blk][i, j] for blk, i, j, c in data.entries[key])
+            if key == zero_key:
+                z += lam
+            want = z.real if part == "re" else z.imag
+            got = prog.rows[rid].value(blocks, free)
+            assert abs(got - want) <= 1e-10 * (1.0 + abs(want))
+
+    dv, nv = arts["dualview"].program, arts["naive"].program
+    for key, rid in arts["dualview"].row_index.items():
+        assert dv.rows[rid].free == nv.rows[arts["naive"].row_index[key]].free
+    data_rows = set(arts["naive"].row_index.values())
+    structural = [r for k, r in enumerate(nv.rows) if k not in data_rows]
+    assert len(structural) == sum(n // 2 * (n // 2 + 1) for n in nv.psd_blocks)
+    blocks = [EMBED["naive"](h) for h, f in zip(hs, free_mult) if not f]
+    for row in structural:
+        assert row.free == ()
+        assert abs(row.value(blocks, free)) <= 1e-10
 
 
 def test_row_rhs_matches_objective_coefficients():
@@ -314,16 +380,19 @@ def test_omitted_diagonal_imaginary_functionals_vanish_naive():
                 assert abs(evaluate_entries(folded, Xs)) <= 1e-12
 
 
-def test_full_pair_row_set_gives_same_optimum():
-    for form in ("naive", "dualview"):
-        p = gen_unitnorm_instance(2, seed=2)
-        lean = solve(assemble_hsos(p, 2, form, halve=True).program, OPTS)
-        full = solve(assemble_hsos(p, 2, form, halve=False).program, OPTS)
-        assert lean.status == "optimal"
-        assert full.status == "optimal"
-        assert abs(lean.objective - full.objective) <= 1e-6 * (
-            1 + abs(lean.objective)
-        )
+def test_mirrored_key_carries_the_conjugate_transposed_data():
+    # The (gamma, beta) rows are left out because their data is the
+    # conjugate transpose of the (beta, gamma) data, so they only repeat
+    # the kept rows: Re and Im of <A_(g,b), H> = conj(<A_(b,g), H>) for
+    # every Hermitian H.
+    for p in (gen_sphere_instance(2, seed=4), gen_unitnorm_instance(2, seed=2)):
+        data = build_data_matrices(p, 2)
+        assert data.entries
+        for (beta, gamma), ents in data.entries.items():
+            mirrored = sorted(
+                (blk, j, i, c.conjugate()) for blk, i, j, c in ents
+            )
+            assert data.entries[(gamma, beta)] == tuple(mirrored)
 
 
 # ---------------------------------------------------------------- size report
@@ -348,7 +417,6 @@ def test_size_report_published_sphere_numbers():
         assert rep["m_dualview"] == m_dv
         assert rep["m_naive"] == m_nv
         assert rep["t"] == 1
-        assert rep["t_expanded"] == 2
 
 
 def test_size_report_counts_unitnorm_constraints():
@@ -359,7 +427,6 @@ def test_size_report_counts_unitnorm_constraints():
     assert rep["m_dualview"] == w * w
     assert rep["m_naive"] == 2 * w * w + 2 * w + 3 * wi * (wi + 1)
     assert rep["t"] == 3
-    assert rep["t_expanded"] == 6
 
 
 # ---------------------------------------------------------------- moments
