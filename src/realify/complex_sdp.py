@@ -27,14 +27,15 @@ functionals touch only X_1 + X_2 and X_3 - X_3', so no structural rows are
 needed and both forms share one optimum; ``recover_complex_solution`` and
 ``embed_feasible`` move optimal points between the complex and real worlds.
 
-The reformulations build rows as array operations, one constraint at a
-time: the data functional of A_k becomes a full 2n x 2n coefficient matrix
-G (value sum G[i,j] X[i,j]) assembled from A_R and A_I by block placement,
-and G folds onto the canonical upper triangle, G[i,i] on the diagonal and
-0.5*G[i,j] + 0.5*G[j,i] above it.  Each canonical key receives at most two
-terms, so the rows equal, to the bit, what the entry-level ``add_*``
-builders accumulate; those builders remain for the relaxation layer, which
-places data entries one at a time.
+Both forms, for the reformulations and the relaxation alike, rest on one
+rule, the table _QUADRANTS: the Re or Im functional of a complex data
+matrix A = A_R + i*A_I is the functional sum G[i,j] X[i,j] over the 2n x 2n
+block, and each quadrant of G is +-A_R, +-A_I or empty.  ``embed_entries``
+expands data entries through that table, folds every term onto the
+canonical upper triangle (the diagonal keeps its coefficient, an
+off-diagonal term gets 0.5) and sums duplicates in one sparse pass.  Each
+canonical key receives at most two terms, from the entry at (p, q) and
+its partner at (q, p), so the order of summation cannot change a bit.
 """
 
 from __future__ import annotations
@@ -42,6 +43,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
+import scipy.sparse as sp
 
 from .program import (
     LinearFunctional,
@@ -237,93 +239,110 @@ def structural_constraints(n: int):
     return rows
 
 
-# Entry-level functional builders.  Each adds, into an accumulator dict
-# keyed by (block, i, j) with i <= j, the canonical coefficients of one
-# complex data entry c = cre + i*cim placed at position (p, q) of an
-# n x n complex data matrix acting on a 2n x 2n real block.
+def _structural_rows(n: int, blk: int = 0) -> list[Row]:
+    """structural_constraints(n) as rows over PSD block ``blk``."""
+    return [
+        Row(entries=accumulate_entries((blk, i, j, c) for i, j, c in coeffs))
+        for coeffs in structural_constraints(n)
+    ]
 
 
-def _add(acc, blk: int, i: int, j: int, c: float) -> None:
-    # coefficient c on the single matrix entry X[i, j]
-    if c == 0.0:
-        return
-    if i > j:
-        i, j = j, i
-    key = (blk, i, j)
-    acc[key] = acc.get(key, 0.0) + (c if i == j else 0.5 * c)
+# Quadrants (top-left, top-right, bottom-left, bottom-right) of the 2n x 2n
+# coefficient matrix G of Re<A, .> or Im<A, .> in each form: "R" is A_R,
+# "I" is A_I, "" is empty.  The naive functionals read Y_11 and Y_21 only.
+_QUADRANTS = {
+    ("dualview", "re"): ("R", "-I", "I", "R"),
+    ("dualview", "im"): ("I", "R", "-R", "I"),
+    ("naive", "re"): ("R", "", "-I", ""),
+    ("naive", "im"): ("I", "", "R", ""),
+}
 
 
-def add_dualview_real(acc, blk, n, p, q, cre, cim) -> None:
-    """Re-part functional: <A_R, X1+X2> - <A_I, X3-X3'>."""
-    _add(acc, blk, p, q, cre)
-    _add(acc, blk, n + p, n + q, cre)
-    _add(acc, blk, p, n + q, -cim)
-    _add(acc, blk, q, n + p, cim)
+def embed_entries(form, rows, n_rows, size, p, q, re, im, n, blk=0):
+    """Real functionals of complex data entries, summed into one CSC.
 
-
-def add_dualview_imag(acc, blk, n, p, q, cre, cim) -> None:
-    """Im-part functional: <A_R, X3-X3'> + <A_I, X1+X2>."""
-    _add(acc, blk, p, n + q, cre)
-    _add(acc, blk, q, n + p, -cre)
-    _add(acc, blk, p, q, cim)
-    _add(acc, blk, n + p, n + q, cim)
-
-
-def add_naive_real(acc, blk, n, p, q, cre, cim) -> None:
-    """Re-part functional through the doubled blocks: <A_R,Y11> - <A_I,Y21>."""
-    _add(acc, blk, p, q, cre)
-    _add(acc, blk, n + p, q, -cim)
-
-
-def add_naive_imag(acc, blk, n, p, q, cre, cim) -> None:
-    """Im-part functional through the doubled blocks: <A_R,Y21> + <A_I,Y11>."""
-    _add(acc, blk, n + p, q, cre)
-    _add(acc, blk, p, q, cim)
-
-
-def _dualview_matrices(a: ComplexMatrix) -> tuple[np.ndarray, np.ndarray]:
-    """Coefficient matrices G (functional sum G[i,j] X[i,j]) of the
-    dual-view Re and Im functionals of a; see add_dualview_real/imag."""
-    r, i = a.re, a.im
-    return np.block([[r, -i], [i, r]]), np.block([[i, r], [-r, i]])
-
-
-def _naive_matrices(a: ComplexMatrix) -> tuple[np.ndarray, np.ndarray]:
-    """As _dualview_matrices for the naive functionals (add_naive_real/imag)."""
-    r, i = a.re, a.im
-    z = np.zeros_like(r)
-    return np.block([[r, z], [-i, z]]), np.block([[i, z], [r, z]])
-
-
-def _fold(g: np.ndarray) -> tuple:
-    """Canonical block-0 entries of the functional sum G[i,j] X[i,j].
-
-    The diagonal keeps G[i,i]; the pair (i,j), (j,i) above it becomes
-    0.5*G[i,j] + 0.5*G[j,i]; zeros are dropped; keys come in row-major
-    upper-triangle order, the order accumulate_entries sorts them into.
+    Entry e is c = re[e] + i*im[e] at position (p[e], q[e]) of an n x n
+    complex matrix acting on the 2n x 2n PSD block ``blk`` (``n`` and
+    ``blk`` are scalars or per-entry arrays).  For each part, "re" or "im",
+    in ``rows``, the entry adds that part of <A, .> to functional
+    ``rows[part][e]``, or to none when the index is negative.  The result
+    has one row per functional and one column per key (blk, i, j),
+    i <= j < size, at (blk * size + i) * size + j; ``size`` is at least
+    the largest 2n.  Duplicates are summed per key column, where they are
+    fewer than per functional row.
     """
-    iu, ju = np.triu_indices(len(g))
-    c = 0.5 * g[iu, ju] + 0.5 * g[ju, iu]
-    c[iu == ju] = np.diagonal(g)
-    nz = np.flatnonzero(c)
-    return tuple(zip(
-        [0] * nz.size, iu[nz].tolist(), ju[nz].tolist(), c[nz].tolist()
-    ))
+    shape = (n_rows, (int(np.max(blk, initial=0)) + 1) * size * size)
+    # 32-bit indices whenever every key fits: half the memory to move
+    idx = np.int32 if shape[1] <= np.iinfo(np.int32).max else np.int64
+    ents = np.broadcast_arrays(p, q, n, blk, re, im)
+    terms = []
+    for part, at in rows.items():
+        e = at >= 0
+        fun, p, q, n, blk = (x[e].astype(idx) for x in (at, *ents[:4]))
+        re, im = ents[4][e], ents[5][e]
+        for (di, dj), quad in zip(
+            ((0, 0), (0, 1), (1, 0), (1, 1)), _QUADRANTS[form, part]
+        ):
+            if quad:
+                i, j = p + di * n, q + dj * n
+                lo, hi = np.minimum(i, j), np.maximum(i, j)
+                v = (re if quad[-1] == "R" else im) * (
+                    -1.0 if quad[0] == "-" else 1.0
+                )
+                terms.append((
+                    fun,
+                    (blk * size + lo) * size + hi,
+                    np.where(lo == hi, v, 0.5 * v),
+                ))
+    # exact zeros, given or summed, go in eliminate_zeros
+    fun, key, coef = (np.concatenate(x) for x in zip(*terms))
+    out = sp.csc_matrix((coef, (fun, key)), shape=shape)
+    out.eliminate_zeros()
+    return out
 
 
-def _primal(sdp: ComplexSDP, matrices, extra_rows=()) -> RealConicProgram:
+def split_rows(indptr, *fields) -> list[tuple]:
+    """Per row of a CSR layout, the tuples of its entries' fields."""
+    flat = list(zip(*(f.tolist() for f in fields)))
+    at = indptr.tolist()
+    return [tuple(flat[s:e]) for s, e in zip(at, at[1:])]
+
+
+def block_entries(g, size: int) -> list[tuple]:
+    """Per functional of an embed_entries matrix, its (blk, i, j, c)."""
+    g = g.tocsr()
+    bi, j = np.divmod(g.indices, size)
+    b, i = np.divmod(bi, size)
+    return split_rows(g.indptr, b, i, j, g.data)
+
+
+def _stacked(sdp: ComplexSDP, mats):
+    """Entry arrays (k, p, q, re, im) of every n x n matrix k in mats."""
+    n = sdp.n
+    k = np.repeat(np.arange(len(mats)), n * n)
+    p, q = (np.tile(x.ravel(), len(mats)) for x in np.indices((n, n)))
+    re = np.array([a.re for a in mats], dtype=float).ravel()
+    im = np.array([a.im for a in mats], dtype=float).ravel()
+    return k, p, q, re, im
+
+
+def _primal(sdp: ComplexSDP, form: str, extra_rows=()) -> RealConicProgram:
     """Real-part then imaginary-part row per constraint, then extra_rows."""
-    rows = []
-    for k, a in enumerate(sdp.A):
-        g_re, g_im = matrices(a)
-        rows.append(Row(entries=_fold(g_re), rhs=float(sdp.b.re[k])))
-        rows.append(Row(entries=_fold(g_im), rhs=float(sdp.b.im[k])))
-    rows.extend(extra_rows)
+    m, dim = sdp.m, 2 * sdp.n
+    # functional 2k is Re<A_k, .>, 2k+1 Im<A_k, .>, 2m the objective Re<C, .>
+    k, p, q, re, im = _stacked(sdp, sdp.A + (sdp.C,))
+    rows = {"re": 2 * k, "im": np.where(k < m, 2 * k + 1, -1)}
+    funs = block_entries(
+        embed_entries(form, rows, 2 * m + 1, dim, p, q, re, im, sdp.n), dim
+    )
     return RealConicProgram(
-        psd_blocks=(2 * sdp.n,),
+        psd_blocks=(dim,),
         n_free=0,
-        rows=tuple(rows),
-        objective=LinearFunctional(entries=_fold(matrices(sdp.C)[0])),
+        rows=tuple(
+            Row(entries=funs[r], rhs=float(b))
+            for r, b in enumerate(np.column_stack([sdp.b.re, sdp.b.im]).flat)
+        ) + tuple(extra_rows),
+        objective=LinearFunctional(entries=funs[2 * m]),
         sense="maximize",
     )
 
@@ -335,10 +354,7 @@ def reformulate_primal_naive(sdp: ComplexSDP) -> RealConicProgram:
     part row (rhs Re b_k and Im b_k), followed by the n*(n+1) structural
     rows.  The objective uses the same Y_11/Y_21 functional shape.
     """
-    return _primal(sdp, _naive_matrices, (
-        Row(entries=accumulate_entries((0, i, j, c) for i, j, c in coeffs))
-        for coeffs in structural_constraints(sdp.n)
-    ))
+    return _primal(sdp, "naive", _structural_rows(sdp.n))
 
 
 def reformulate_primal_dualview(sdp: ComplexSDP) -> RealConicProgram:
@@ -347,7 +363,7 @@ def reformulate_primal_dualview(sdp: ComplexSDP) -> RealConicProgram:
     All functionals read only X_1 + X_2 and X_3 - X_3', so the 2m data rows
     are the whole constraint set; no structural rows exist.
     """
-    return _primal(sdp, _dualview_matrices)
+    return _primal(sdp, "dualview")
 
 
 def reformulate_dual(sdp: ComplexSDP) -> RealConicProgram:
@@ -365,34 +381,30 @@ def reformulate_dual(sdp: ComplexSDP) -> RealConicProgram:
     dim = 2 * n
     iu, ju = np.triu_indices(dim)
 
-    # The doubled matrix of sum_k y_k A_k is sum_k Re(y_k) L_k + Im(y_k) L'_k
-    # with L_k = [[A_R, -A_I], [A_I, A_R]] and L'_k = -[[A_I, A_R],
-    # [-A_R, A_I]]; the row of key (p, q) takes -0.5 L[p,q] - 0.5 L[q,p]
-    # for every such L.  cst is the doubled matrix of -C.
-    lin = np.empty((iu.size, 2 * m))
-    for k, a in enumerate(sdp.A):
-        g_re, g_im = _dualview_matrices(a)
-        for col, mat in ((k, g_re), (m + k, -g_im)):
-            lin[:, col] = -0.5 * mat[iu, ju] - 0.5 * mat[ju, iu]
+    # The doubled matrix of sum_k y_k A_k is sum_k Re(y_k) L_k + Im(y_k) L'_k,
+    # L_k the dual-view Re matrix of A_k and L'_k minus its Im matrix; the
+    # row of key (p, q) takes minus the folded coefficient of each.
+    # cst is the doubled matrix of -C.
+    k, p, q, re, im = _stacked(sdp, sdp.A)
+    g = embed_entries(
+        "dualview", {"re": k, "im": m + k}, 2 * m, dim, p, q, re, im, n
+    )
+    g.data *= np.where(g.indices < m, -1.0, 1.0)
+    lin = g.T[iu * dim + ju]
     cst = np.zeros((dim, dim))
     cst[:n, :n] -= sdp.C.re
     cst[n:, n:] -= sdp.C.re
     cst[:n, n:] += sdp.C.im
     cst[n:, :n] -= sdp.C.im
 
-    at, ks = np.nonzero(lin)
-    pairs = list(zip(ks.tolist(), lin[at, ks].tolist()))
-    ends = np.cumsum(np.count_nonzero(lin, axis=1)).tolist()
     rhs = (0.5 * (cst[iu, ju] + cst[ju, iu])).tolist()
-    rows = []
-    start = 0
-    for p, q, end, r in zip(iu.tolist(), ju.tolist(), ends, rhs):
-        rows.append(Row(
-            entries=((0, p, q, 1.0 if p == q else 0.5),),
-            free=tuple(pairs[start:end]),
-            rhs=r,
-        ))
-        start = end
+    rows = [
+        Row(entries=((0, p, q, 1.0 if p == q else 0.5),), free=free, rhs=r)
+        for p, q, free, r in zip(
+            iu.tolist(), ju.tolist(),
+            split_rows(lin.indptr, lin.indices, lin.data), rhs,
+        )
+    ]
 
     return RealConicProgram(
         psd_blocks=(dim,),

@@ -11,10 +11,13 @@ z^beta conj(z)^gamma produces one equality row per pair; conjugate symmetry
 makes the (gamma, beta) half redundant, so rows are emitted for
 beta <= gamma only, and the diagonal imaginary rows, which cancel
 identically after that folding, are omitted in both forms.  Each PSD
-Hermitian block is then realified per complex_sdp: the doubled block with
-its structural rows ("naive") or the unstructured block whose functionals
-touch only X1+X2 and X3-X3' ("dualview").  A free multiplier H = P + iQ
-needs no embedding: it enters both forms as the same w^2 free scalars.
+Hermitian block is then realified by complex_sdp's quadrant table, the
+rule the complex SDP reformulations use too: the doubled block with its
+structural rows ("naive") or the unstructured block whose functionals
+touch only X1+X2 and X3-X3' ("dualview").  All data entries go through
+that table in one array pass.  A free multiplier H = P + iQ needs no
+embedding: it enters both forms as the same w^2 free scalars, placed by
+index arithmetic.
 
 The dual multipliers of the coefficient rows are exactly the moment
 sequence of the relaxation, which ``extract_moments`` reads off.
@@ -26,14 +29,14 @@ import math
 from dataclasses import dataclass, field
 
 import numpy as np
+import scipy.sparse as sp
 
 from .complex_sdp import (
     HermitianMatrix,
-    add_dualview_imag,
-    add_dualview_real,
-    add_naive_imag,
-    add_naive_real,
-    structural_constraints,
+    _structural_rows,
+    block_entries,
+    embed_entries,
+    split_rows,
 )
 from .polynomials import CPOP, Exponent, MonomialBasis, monomial_basis
 from .program import (
@@ -41,8 +44,6 @@ from .program import (
     RealConicProgram,
     Row,
     SolveResult,
-    accumulate_entries,
-    accumulate_free,
 )
 
 __all__ = [
@@ -173,109 +174,102 @@ class RelaxationArtifact:
     lambda_id: int = 0
 
 
-def _add_free_multiplier(acc, base, w, p, q, c, part) -> None:
-    """Re or Im (``part``) of c * H[p, q] for a free Hermitian w x w
-    H = P + iQ whose scalars start at ``base``: P[i, j] for i <= j, then
-    Q[i, j] for i < j, each triangle row-major; Q[q, p] = -Q[p, q]."""
-    i, j = min(p, q), max(p, q)
-    sign = 1.0 if p < q else -1.0
-    real = base + i * (2 * w - i + 1) // 2 + (j - i)
-    imag = base + w * (w + 1) // 2 + i * (2 * w - i - 1) // 2 + (j - i - 1)
-    # Re(cH) = Re(c) P - Im(c) Q,  Im(cH) = Im(c) P + Re(c) Q
-    cp, cq = (c.real, -c.imag) if part == "re" else (c.imag, c.real)
-    acc[real] = acc.get(real, 0.0) + cp
-    if p != q:
-        acc[imag] = acc.get(imag, 0.0) + sign * cq
-
-
 def assemble_hsos(p: CPOP, d: int, form: str) -> RelaxationArtifact:
     """Emit the order-d relaxation as a real conic program.
 
     Row layout: real rows for every canonical key in basis order, then
     imaginary rows for the strictly off-diagonal keys, then (naive form
     only) the structural rows of each doubled PSD block.  The PSD blocks
-    are the moment block and one per "ge" constraint, in constraint order.
+    are the moment block and one per "ge" constraint, in constraint order;
+    ``complex_sdp.embed_entries`` places their data entries.
 
     Free scalar 0 is the bound variable: it enters exactly once, in the
     real row of the constant key, and the objective is to maximize it.
     Each equality's free multiplier H = P + iQ (w x w) follows, in
     constraint order, as w(w+1)/2 scalars P[p, q] (p <= q) and then
-    w(w-1)/2 scalars Q[p, q] (p < q), each triangle row-major.  A data
-    entry c at (p, q) of an equality block adds Re(c H[p, q]) to its key's
-    real row and Im(c H[p, q]) to its imaginary row, in both forms.
+    w(w-1)/2 scalars Q[p, q] (p < q), each triangle row-major, with
+    Q[q, p] = -Q[p, q].  A data entry c at (p, q) of an equality block adds
+    Re(c H[p, q]) = Re(c) P[p, q] - Im(c) Q[p, q] to its key's real row
+    and Im(c H[p, q]) = Im(c) P[p, q] + Re(c) Q[p, q] to its imaginary
+    row, in both forms.
     """
     if form not in ("naive", "dualview"):
         raise ValueError(f"unknown form {form!r}")
     if not p.f.terms:
         raise ValueError("objective polynomial is empty")
     data = build_data_matrices(p, d)
-    dims = data.block_dims
-    add = {
-        "re": add_naive_real if form == "naive" else add_dualview_real,
-        "im": add_naive_imag if form == "naive" else add_dualview_imag,
-    }
+    dims = np.array(data.block_dims)
     exps = data.bases[0].exponents
     w0 = len(exps)
     zero_key = ((0,) * p.s, (0,) * p.s)
     re_keys = [(exps[i], exps[j]) for i in range(w0) for j in range(i, w0)]
     im_keys = [(exps[i], exps[j]) for i in range(w0) for j in range(i + 1, w0)]
+    parts = [(key, "re") for key in re_keys] + [(key, "im") for key in im_keys]
 
     # data block -> PSD block index, or -> first free scalar of its H
-    psd_of: dict[int, int] = {}
-    free_of: dict[int, int] = {}
-    n_free = 1
-    for blk, (src, w) in enumerate(zip(data.sources, dims)):
-        if src >= 0 and p.constraints[src][1] == "eq":
-            free_of[blk] = n_free
-            n_free += w * w
-        else:
-            psd_of[blk] = len(psd_of)
-    psd_dims = [dims[blk] for blk in psd_of]
+    is_eq = np.array([
+        src >= 0 and p.constraints[src][1] == "eq" for src in data.sources
+    ])
+    psd_of = np.cumsum(~is_eq) - 1
+    sq = np.where(is_eq, dims**2, 0)
+    free_of = 1 + np.cumsum(sq) - sq
+    psd_dims = dims[~is_eq].tolist()
 
-    def row(key, part, rhs):
-        acc: dict = {}
-        free: dict = {0: 1.0} if (key, part) == (zero_key, "re") else {}
-        for blk, pb, qb, c in data.entries.get(key, ()):
-            if blk in psd_of:
-                add[part](acc, psd_of[blk], dims[blk], pb, qb, c.real, c.imag)
-            else:
-                base = free_of[blk]
-                _add_free_multiplier(free, base, dims[blk], pb, qb, c, part)
-        return Row(
-            entries=accumulate_entries(
-                (b, i, j, c) for (b, i, j), c in acc.items()
-            ),
-            free=accumulate_free(free.items()),
-            rhs=rhs,
-        )
+    # every data entry once, with the real and the imaginary row of its
+    # key; the diagonal keys have no imaginary row (-1)
+    ents = [data.entries.get(key, ()) for key in re_keys]
+    re_row = np.repeat(np.arange(len(re_keys)), [len(e) for e in ents])
+    has_im = np.array([beta != gamma for beta, gamma in re_keys])
+    im_row = np.where(has_im, len(re_keys) + np.cumsum(has_im) - 1, -1)[re_row]
+    blk, pb, qb, c = map(np.array, zip(*(e for es in ents for e in es)))
+
+    psd = ~is_eq[blk]
+    size = 2 * max(psd_dims)
+    entries = block_entries(embed_entries(
+        form, {"re": re_row[psd], "im": im_row[psd]}, len(parts), size,
+        pb[psd], qb[psd], c.real[psd], c.imag[psd], dims[blk[psd]],
+        psd_of[blk[psd]],
+    ), size)
+
+    # the equality entries, through Re(cH) = Re(c) P - Im(c) Q and
+    # Im(cH) = Im(c) P + Re(c) Q, with Q[q, p] = -Q[p, q]
+    eq = ~psd
+    re_at, im_at, c = re_row[eq], im_row[eq], c[eq]
+    w, base = dims[blk[eq]], free_of[blk[eq]]
+    i, j = np.minimum(pb[eq], qb[eq]), np.maximum(pb[eq], qb[eq])
+    real = base + i * (2 * w - i + 1) // 2 + (j - i)
+    imag = base + w * (w + 1) // 2 + i * (2 * w - i - 1) // 2 + (j - i - 1)
+    sign = np.where(pb[eq] < qb[eq], 1.0, -1.0)
+    o, h = i != j, im_at >= 0
+    row, col, val = (np.concatenate(x) for x in zip(
+        ([re_keys.index(zero_key)], [0], [1.0]),  # the bound variable
+        (re_at, real, c.real),
+        (re_at[o], imag[o], sign[o] * -c.imag[o]),
+        (im_at[h], real[h], c.imag[h]),
+        (im_at[o & h], imag[o & h], (sign * c.real)[o & h]),
+    ))
+    free = sp.csr_matrix(
+        (val, (row, col)), shape=(len(parts), 1 + int(sq.sum()))
+    )
+    free.eliminate_zeros()
 
     rows: list[Row] = []
-    row_index: dict[tuple[MomentKey, str], int] = {}
-    for key in re_keys:
+    for (key, part), ent, fr in zip(
+        parts, entries, split_rows(free.indptr, free.indices, free.data)
+    ):
         b = complex(p.f.terms.get(key, 0j))
         if key[0] == key[1] and b.imag != 0.0:
             raise ValueError(f"diagonal objective coefficient {key!r} not real")
-        row_index[(key, "re")] = len(rows)
-        rows.append(row(key, "re", b.real))
-    for key in im_keys:
-        b = complex(p.f.terms.get(key, 0j))
-        row_index[(key, "im")] = len(rows)
-        rows.append(row(key, "im", b.imag))
+        rows.append(
+            Row(entries=ent, free=fr, rhs=b.real if part == "re" else b.imag)
+        )
     if form == "naive":
-        for blk, w in enumerate(psd_dims):
-            for triples in structural_constraints(w):
-                rows.append(
-                    Row(
-                        entries=accumulate_entries(
-                            (blk, i, j, c) for i, j, c in triples
-                        ),
-                        rhs=0.0,
-                    )
-                )
+        for k, w in enumerate(psd_dims):
+            rows.extend(_structural_rows(w, k))
 
     program = RealConicProgram(
         psd_blocks=tuple(2 * w for w in psd_dims),
-        n_free=n_free,
+        n_free=free.shape[1],
         rows=tuple(rows),
         objective=LinearFunctional(free=((0, 1.0),)),
         sense="maximize",
@@ -283,9 +277,13 @@ def assemble_hsos(p: CPOP, d: int, form: str) -> RelaxationArtifact:
     return RelaxationArtifact(
         order=d,
         form=form,
-        blocks=tuple((data.sources[blk], 2 * dims[blk]) for blk in psd_of),
+        blocks=tuple(
+            (src, 2 * w)
+            for src, w, e in zip(data.sources, data.block_dims, is_eq)
+            if not e
+        ),
         program=program,
-        row_index=row_index,
+        row_index={kp: r for r, kp in enumerate(parts)},
     )
 
 

@@ -126,14 +126,12 @@ class _Workspace:
 
         # Block part of the row Gram, sum_b R_b R_b'; the free part is added
         # per use because the free columns change in between.
-        RR = None
-        if 1 <= self.m <= 12000:
-            RR = np.zeros((self.m, self.m))
-            for Rb in self.R:
-                RR += (Rb @ Rb.T).toarray()
+        RR = np.zeros((self.m, self.m))
+        for Rb in self.R:
+            RR += (Rb @ Rb.T).toarray()
 
         self.dropped_dependent: list[int] = []
-        if 2 <= self.m <= 12000:
+        if self.m >= 2:
             _, piv, rank, info = sla.lapack.dpstrf(
                 _unit_diagonal_gram(RR, self.F)[0], tol=1e-10, lower=1,
                 overwrite_a=True,
@@ -179,10 +177,10 @@ class _Workspace:
         # (see project_primal).
         self.gram = None
         self.gram_scale = None
-        if RR is not None:
+        if self.m:
             Gn, self.gram_scale = _unit_diagonal_gram(RR, self.F)
-            del RR
             self.gram = _factor_spd(Gn)
+        del RR
 
         # Rows with more than n stored entries are dense (densified per
         # chunk); the others keep left-aligned, zero-padded entry lists.
@@ -444,9 +442,7 @@ def solve(prog: RealConicProgram, options: SolverOptions | None = None) -> Solve
     def finish(status, Xs, f, y, res, iters):
         full_dual = np.zeros(prog.n_rows)
         if y is not None and ws.m:
-            w = -y if prog.sense == "maximize" else y
-            for kk, k in enumerate(ws.active):
-                full_dual[k] = w[kk]
+            full_dual[ws.active] = -y if prog.sense == "maximize" else y
         blocks = tuple(_sym(X) for X in Xs)
         f_full = np.zeros(prog.n_free)
         if ws.nf:
@@ -623,38 +619,36 @@ def solve(prog: RealConicProgram, options: SolverOptions | None = None) -> Solve
                 df = df + e2
             return dy, df
 
-        def rhs(sigma_mu, extras):
-            h = rp.copy()
-            parts = []
-            for b in range(len(ws.sizes)):
-                V = sigma_mu * Sinvs[b] - Xs[b] - _sym(
-                    (Xs[b] @ Rd[b] + extras[b]) @ Sinvs[b]
-                )
-                parts.append(V)
-            # h = rp - A(V); V collects every DX term not involving dy.
-            h -= ws.apply(parts, zero_free)
-            return h, parts
+        def direction(sigma_mu, extras):
+            # dX = V + sym(X A*(dy) S^-1), with V collecting every dX term
+            # not involving dy, so the Schur rhs is h = rp - A(V).
+            V = [
+                sigma_mu * Sinvs[b] - Xs[b]
+                - _sym((Xs[b] @ Rd[b] + extras[b]) @ Sinvs[b])
+                for b in range(len(ws.sizes))
+            ]
+            dy, df = solve_aug(rp - ws.apply(V, zero_free), rdf)
+            ATdy = ws.apply_adjoint(dy)
+            dS = [Rd[b] - ATdy[b] for b in range(len(ws.sizes))]
+            dX = [
+                _sym(V[b] + _sym(Xs[b] @ ATdy[b] @ Sinvs[b]))
+                for b in range(len(ws.sizes))
+            ]
+            df = ws.project_primal(dX, df, rp)
+            return dX, dS, dy, df
+
+        def max_steps(dX, dS):
+            # raises LinAlgError when X or S has lost definiteness
+            blocks = range(len(ws.sizes))
+            return (
+                min((_max_step(Xs[b], dX[b]) for b in blocks), default=np.inf),
+                min((_max_step(Ss[b], dS[b]) for b in blocks), default=np.inf),
+            )
 
         zeros = [np.zeros((n, n)) for n in ws.sizes]
-        h_aff, base_aff = rhs(0.0, zeros)
-        dy_a, df_a = solve_aug(h_aff, rdf)
-        ATdy = ws.apply_adjoint(dy_a)
-        dS_a = [Rd[b] - ATdy[b] for b in range(len(ws.sizes))]
-        dX_a = [
-            _sym(base_aff[b] + _sym(Xs[b] @ ATdy[b] @ Sinvs[b]))
-            for b in range(len(ws.sizes))
-        ]
-        df_a = ws.project_primal(dX_a, df_a, rp)
-
+        dX_a, dS_a, _, _ = direction(0.0, zeros)
         try:
-            ap = min(
-                (_max_step(Xs[b], dX_a[b]) for b in range(len(ws.sizes))),
-                default=np.inf,
-            )
-            ad = min(
-                (_max_step(Ss[b], dS_a[b]) for b in range(len(ws.sizes))),
-                default=np.inf,
-            )
+            ap, ad = max_steps(dX_a, dS_a)
         except np.linalg.LinAlgError:
             break
         ap = min(1.0, ap)
@@ -671,25 +665,9 @@ def solve(prog: RealConicProgram, options: SolverOptions | None = None) -> Solve
         gamma = min(opts.step_fraction, 0.9 + 0.09 * min(ap, ad))
 
         extras = [dX_a[b] @ dS_a[b] for b in range(len(ws.sizes))]
-        h_cor, base_cor = rhs(sigma * mu, extras)
-        dy, df = solve_aug(h_cor, rdf)
-        ATdy = ws.apply_adjoint(dy)
-        dS = [Rd[b] - ATdy[b] for b in range(len(ws.sizes))]
-        dX = [
-            _sym(base_cor[b] + _sym(Xs[b] @ ATdy[b] @ Sinvs[b]))
-            for b in range(len(ws.sizes))
-        ]
-        df = ws.project_primal(dX, df, rp)
-
+        dX, dS, dy, df = direction(sigma * mu, extras)
         try:
-            ap = min(
-                (_max_step(Xs[b], dX[b]) for b in range(len(ws.sizes))),
-                default=np.inf,
-            )
-            ad = min(
-                (_max_step(Ss[b], dS[b]) for b in range(len(ws.sizes))),
-                default=np.inf,
-            )
+            ap, ad = max_steps(dX, dS)
         except np.linalg.LinAlgError:
             break
         ap = min(1.0, gamma * ap)

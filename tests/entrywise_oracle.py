@@ -1,0 +1,65 @@
+"""Entry-by-entry builders of the realified functionals, kept as test oracles.
+
+Each adder puts, into an accumulator dict keyed by (block, i, j) with
+i <= j, the canonical coefficients of one complex data entry
+c = cre + i*cim placed at position (p, q) of an n x n complex data matrix
+acting on a 2n x 2n real block.  ``complex_sdp.embed_entries`` builds the
+same coefficients from its quadrant table as array operations; the tests
+require the two to agree to the bit.
+"""
+
+import numpy as np
+
+
+def _add(acc, blk: int, i: int, j: int, c: float) -> None:
+    # coefficient c on the single matrix entry X[i, j]
+    if c == 0.0:
+        return
+    if i > j:
+        i, j = j, i
+    key = (blk, i, j)
+    acc[key] = acc.get(key, 0.0) + (c if i == j else 0.5 * c)
+
+
+def add_dualview_real(acc, blk, n, p, q, cre, cim) -> None:
+    """Re-part functional: <A_R, X1+X2> - <A_I, X3-X3'>."""
+    _add(acc, blk, p, q, cre)
+    _add(acc, blk, n + p, n + q, cre)
+    _add(acc, blk, p, n + q, -cim)
+    _add(acc, blk, q, n + p, cim)
+
+
+def add_dualview_imag(acc, blk, n, p, q, cre, cim) -> None:
+    """Im-part functional: <A_R, X3-X3'> + <A_I, X1+X2>."""
+    _add(acc, blk, p, n + q, cre)
+    _add(acc, blk, q, n + p, -cre)
+    _add(acc, blk, p, q, cim)
+    _add(acc, blk, n + p, n + q, cim)
+
+
+def add_naive_real(acc, blk, n, p, q, cre, cim) -> None:
+    """Re-part functional through the doubled blocks: <A_R,Y11> - <A_I,Y21>."""
+    _add(acc, blk, p, q, cre)
+    _add(acc, blk, n + p, q, -cim)
+
+
+def add_naive_imag(acc, blk, n, p, q, cre, cim) -> None:
+    """Im-part functional through the doubled blocks: <A_R,Y21> + <A_I,Y11>."""
+    _add(acc, blk, n + p, q, cre)
+    _add(acc, blk, p, q, cim)
+
+
+ADDERS = {
+    "dualview": {"re": add_dualview_real, "im": add_dualview_imag},
+    "naive": {"re": add_naive_real, "im": add_naive_imag},
+}
+
+
+def float_bits(prog):
+    """Every number of a program, as the bits of a float64."""
+    out = []
+    for fun in (prog.objective,) + prog.rows:
+        for entry in fun.entries + fun.free:
+            out.extend(entry)
+        out.append(getattr(fun, "rhs", 0.0))
+    return np.array(out, dtype=float).view(np.int64)

@@ -16,7 +16,6 @@ from realify.complex_sdp import (
     ComplexSDP,
     ComplexVector,
     HermitianMatrix,
-    add_dualview_imag,
     apply_constraints,
     inner_product,
     recover_complex_solution,
@@ -37,6 +36,8 @@ from realify.validation import (
     grid_min_1d,
     sample_upper_bound,
 )
+
+from entrywise_oracle import add_dualview_imag
 
 OPTS = SolverOptions(tol_gap=1e-7, tol_primal=1e-7, tol_dual=1e-7)
 DATA = Path(__file__).parent / "data"

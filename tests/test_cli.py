@@ -1,11 +1,14 @@
 """Command-line interface: schemas, determinism, exit codes."""
 
 import json
+import os
 import subprocess
 import sys
+from pathlib import Path
 
 import pytest
 
+import realify
 from realify.cli import REPORT_FIELDS, REPORT_PREAMBLE, main
 from realify.relaxation import size_report
 from realify.polynomials import gen_sphere_instance
@@ -234,10 +237,14 @@ def test_help_exits_zero(capsys):
 
 
 def test_console_entry_point_runs():
+    # the child imports the realify under test, installed or not
+    src = str(Path(realify.__file__).parents[1])
+    path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
     proc = subprocess.run(
         [sys.executable, "-m", "realify.cli", "--help"],
         capture_output=True,
         text=True,
+        env={**os.environ, "PYTHONPATH": path},
     )
     assert proc.returncode == 0
     assert "realify" in proc.stdout

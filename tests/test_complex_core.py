@@ -28,13 +28,15 @@ from realify import (
     structural_constraints,
     solve,
 )
-from realify.complex_sdp import (
+from realify.program import accumulate_entries, accumulate_free
+
+from entrywise_oracle import (
     add_dualview_imag,
     add_dualview_real,
     add_naive_imag,
     add_naive_real,
+    float_bits,
 )
-from realify.program import accumulate_entries, accumulate_free
 
 LOOSE = SolverOptions(tol_gap=1e-7, tol_primal=1e-7, tol_dual=1e-7)
 
@@ -355,16 +357,6 @@ def entrywise_dual(sdp):
         )),
         sense="minimize",
     )
-
-
-def float_bits(prog):
-    """Every number of a program, as the bits of a float64."""
-    out = []
-    for fun in (prog.objective,) + prog.rows:
-        for entry in fun.entries + fun.free:
-            out.extend(entry)
-        out.append(getattr(fun, "rhs", 0.0))
-    return np.array(out, dtype=float).view(np.int64)
 
 
 def oracle_sdps():

@@ -5,8 +5,14 @@ import math
 import numpy as np
 import pytest
 
-from realify.complex_sdp import add_dualview_imag, add_naive_imag
-from realify.program import accumulate_entries
+from realify.complex_sdp import structural_constraints
+from realify.program import (
+    LinearFunctional,
+    RealConicProgram,
+    Row,
+    accumulate_entries,
+    accumulate_free,
+)
 from realify.polynomials import (
     CPOP,
     CPolynomial,
@@ -22,6 +28,13 @@ from realify.relaxation import (
     size_report,
 )
 from realify.solver import SolverOptions, solve
+
+from entrywise_oracle import (
+    ADDERS,
+    add_dualview_imag,
+    add_naive_imag,
+    float_bits,
+)
 
 OPTS = SolverOptions(tol_gap=1e-7, tol_primal=1e-7, tol_dual=1e-7)
 
@@ -284,6 +297,122 @@ def test_data_rows_pair_every_block_with_its_hermitian_multiplier():
     for row in structural:
         assert row.free == ()
         assert abs(row.value(blocks, free)) <= 1e-10
+
+
+def _add_free_multiplier(acc, base, w, p, q, c, part) -> None:
+    """Re or Im (``part``) of c * H[p, q] for a free Hermitian w x w
+    H = P + iQ whose scalars start at ``base``: P[i, j] for i <= j, then
+    Q[i, j] for i < j, each triangle row-major; Q[q, p] = -Q[p, q]."""
+    i, j = min(p, q), max(p, q)
+    sign = 1.0 if p < q else -1.0
+    real = base + i * (2 * w - i + 1) // 2 + (j - i)
+    imag = base + w * (w + 1) // 2 + i * (2 * w - i - 1) // 2 + (j - i - 1)
+    # Re(cH) = Re(c) P - Im(c) Q,  Im(cH) = Im(c) P + Re(c) Q
+    cp, cq = (c.real, -c.imag) if part == "re" else (c.imag, c.real)
+    acc[real] = acc.get(real, 0.0) + cp
+    if p != q:
+        acc[imag] = acc.get(imag, 0.0) + sign * cq
+
+
+def entrywise_assembly(p, d, form):
+    """The relaxation program rebuilt row by row through dicts."""
+    data = build_data_matrices(p, d)
+    dims = data.block_dims
+    exps = data.bases[0].exponents
+    w0 = len(exps)
+    zero_key = ((0,) * p.s, (0,) * p.s)
+    psd_of, free_of, n_free = {}, {}, 1
+    for blk, (src, w) in enumerate(zip(data.sources, dims)):
+        if src >= 0 and p.constraints[src][1] == "eq":
+            free_of[blk] = n_free
+            n_free += w * w
+        else:
+            psd_of[blk] = len(psd_of)
+    psd_dims = [dims[blk] for blk in psd_of]
+
+    def row(key, part, rhs):
+        acc: dict = {}
+        free: dict = {0: 1.0} if (key, part) == (zero_key, "re") else {}
+        for blk, pb, qb, c in data.entries.get(key, ()):
+            if blk in psd_of:
+                ADDERS[form][part](
+                    acc, psd_of[blk], dims[blk], pb, qb, c.real, c.imag
+                )
+            else:
+                base = free_of[blk]
+                _add_free_multiplier(free, base, dims[blk], pb, qb, c, part)
+        return Row(
+            entries=accumulate_entries(
+                (b, i, j, c) for (b, i, j), c in acc.items()
+            ),
+            free=accumulate_free(free.items()),
+            rhs=rhs,
+        )
+
+    rows = []
+    for part, j0 in (("re", 0), ("im", 1)):
+        for i in range(w0):
+            for j in range(i + j0, w0):
+                key = (exps[i], exps[j])
+                b = complex(p.f.terms.get(key, 0j))
+                rows.append(row(key, part, b.real if part == "re" else b.imag))
+    if form == "naive":
+        for blk, w in enumerate(psd_dims):
+            for triples in structural_constraints(w):
+                rows.append(Row(
+                    entries=accumulate_entries(
+                        (blk, i, j, c) for i, j, c in triples
+                    ),
+                    rhs=0.0,
+                ))
+    return RealConicProgram(
+        psd_blocks=tuple(2 * w for w in psd_dims),
+        n_free=n_free,
+        rows=tuple(rows),
+        objective=LinearFunctional(free=((0, 1.0),)),
+        sense="maximize",
+    )
+
+
+def recast(p, kinds):
+    return CPOP(s=p.s, f=p.f, constraints=tuple(
+        (g, kind) for (g, _), kind in zip(p.constraints, kinds)
+    ))
+
+
+# 2 - |z1|^2 - |z2|^2 + c z1 conj(z2) + conj(c) conj(z1) z2, c complex.  The
+# generated families' constraints have real coefficients, which leave the
+# A_I quadrants of their localizing blocks empty.
+COUPLING = hermitian_poly(2, {
+    ((0, 0), (0, 0)): 2.0, ((1, 0), (1, 0)): -1.0, ((0, 1), (0, 1)): -1.0,
+    ((1, 0), (0, 1)): 0.3 + 0.4j,
+})
+SPHERE2 = gen_sphere_instance(2, seed=1)
+
+ORACLE_CASES = [
+    (CPOP(s=2, f=SPHERE2.f, constraints=SPHERE2.constraints + (
+        (COUPLING, "ge"), (COUPLING, "eq"),
+    )), 2),
+    (SPHERE2, 2),
+    (SPHERE2, 3),
+    (gen_unitnorm_instance(3, seed=1), 2),
+    (gen_unitnorm_instance(3, seed=1), 3),
+    (recast(gen_unitnorm_instance(3, seed=2), ("eq", "ge", "eq")), 2),
+    (recast(gen_unitnorm_instance(3, seed=2), ("ge", "ge", "ge")), 2),
+]
+
+
+@pytest.mark.parametrize(
+    "p, d", ORACLE_CASES,
+    ids=["complex-ge-eq", "sphere2-d2", "sphere2-d3", "unitnorm3-d2",
+         "unitnorm3-d3", "eq-ge-eq", "all-ge"],
+)
+@pytest.mark.parametrize("form", ["dualview", "naive"])
+def test_assembly_matches_the_entrywise_oracle(p, d, form):
+    got = assemble_hsos(p, d, form).program
+    want = entrywise_assembly(p, d, form)
+    assert got == want
+    assert np.array_equal(float_bits(got), float_bits(want))
 
 
 def test_row_rhs_matches_objective_coefficients():
