@@ -116,6 +116,7 @@ def cmd_solve(args) -> int:
         "objective": res.objective,
         "iterations": res.iterations,
         "residuals": res.residuals,
+        "presolve": res.presolve,
         "form": args.form,
         "order": args.d,
         "options": {

@@ -45,13 +45,7 @@ from dataclasses import dataclass
 import numpy as np
 import scipy.sparse as sp
 
-from .program import (
-    LinearFunctional,
-    RealConicProgram,
-    Row,
-    accumulate_entries,
-    accumulate_free,
-)
+from .program import RealConicProgram
 
 __all__ = [
     "ComplexMatrix",
@@ -227,24 +221,36 @@ def structural_constraints(n: int):
     """
     if n < 1:
         raise ValueError("n must be positive")
-    rows = []
-    for i in range(n):
-        for j in range(i, n):
-            if i == j:
-                rows.append(((i, i, 1.0), (n + i, n + i, -1.0)))
-                rows.append(((i, n + i, 1.0),))
-            else:
-                rows.append(((i, j, 0.5), (n + i, n + j, -0.5)))
-                rows.append(((i, n + j, 0.5), (j, n + i, 0.5)))
-    return rows
+    counts, _, i, j, c = _structural_rows(n)
+    flat = list(zip(i.tolist(), j.tolist(), c.tolist()))
+    at = np.r_[0, np.cumsum(counts)].tolist()
+    return [tuple(flat[s:e]) for s, e in zip(at, at[1:])]
 
 
-def _structural_rows(n: int, blk: int = 0) -> list[Row]:
-    """structural_constraints(n) as rows over PSD block ``blk``."""
-    return [
-        Row(entries=accumulate_entries((blk, i, j, c) for i, j, c in coeffs))
-        for coeffs in structural_constraints(n)
-    ]
+def _structural_rows(n: int, blk: int = 0):
+    """structural_constraints(n) over block ``blk``: (counts, blk, i, j, coef),
+    row r taking the next counts[r] entries.  Pair (i, j) has c = 1 on the
+    diagonal, where the second row keeps only (i, n+i, 1), and 0.5 off it."""
+    iu, ju = np.triu_indices(n)
+    c = np.where(iu == ju, 1.0, 0.5)
+    i, j, coef = (np.stack(x, axis=1) for x in (
+        (iu, n + iu, iu, ju), (ju, n + ju, n + ju, n + iu), (c, -c, c, c)
+    ))
+    used = np.ones(i.shape, dtype=bool)
+    used[:, 3] = iu != ju
+    return (
+        used.reshape(-1, 2).sum(axis=1), np.full(int(used.sum()), blk),
+        i[used], j[used], coef[used],
+    )
+
+
+def key_entries(g, size: int, *more):
+    """(counts, blk, i, j, coef) of the rows of a sparse matrix over the key
+    columns (blk * size + i) * size + j, each in key order, then of ``more``."""
+    g = g.tocsr()
+    bi, j = np.divmod(g.indices, size)
+    b, i = np.divmod(bi, size)
+    return tuple(map(np.concatenate, zip((np.diff(g.indptr), b, i, j, g.data), *more)))
 
 
 # Quadrants (top-left, top-right, bottom-left, bottom-right) of the 2n x 2n
@@ -301,21 +307,6 @@ def embed_entries(form, rows, n_rows, size, p, q, re, im, n, blk=0):
     return out
 
 
-def split_rows(indptr, *fields) -> list[tuple]:
-    """Per row of a CSR layout, the tuples of its entries' fields."""
-    flat = list(zip(*(f.tolist() for f in fields)))
-    at = indptr.tolist()
-    return [tuple(flat[s:e]) for s, e in zip(at, at[1:])]
-
-
-def block_entries(g, size: int) -> list[tuple]:
-    """Per functional of an embed_entries matrix, its (blk, i, j, c)."""
-    g = g.tocsr()
-    bi, j = np.divmod(g.indices, size)
-    b, i = np.divmod(bi, size)
-    return split_rows(g.indptr, b, i, j, g.data)
-
-
 def _stacked(sdp: ComplexSDP, mats):
     """Entry arrays (k, p, q, re, im) of every n x n matrix k in mats."""
     n = sdp.n
@@ -326,25 +317,20 @@ def _stacked(sdp: ComplexSDP, mats):
     return k, p, q, re, im
 
 
-def _primal(sdp: ComplexSDP, form: str, extra_rows=()) -> RealConicProgram:
-    """Real-part then imaginary-part row per constraint, then extra_rows."""
+def _primal(sdp: ComplexSDP, form: str) -> RealConicProgram:
+    """Real-part then imaginary-part row per constraint, then (naive form
+    only) the structural rows."""
     m, dim = sdp.m, 2 * sdp.n
-    # functional 2k is Re<A_k, .>, 2k+1 Im<A_k, .>, 2m the objective Re<C, .>
-    k, p, q, re, im = _stacked(sdp, sdp.A + (sdp.C,))
-    rows = {"re": 2 * k, "im": np.where(k < m, 2 * k + 1, -1)}
-    funs = block_entries(
-        embed_entries(form, rows, 2 * m + 1, dim, p, q, re, im, sdp.n), dim
+    # functional 0 is the objective Re<C, .>, 2k+1 Re<A_k, .>, 2k+2 Im<A_k, .>
+    k, p, q, re, im = _stacked(sdp, (sdp.C,) + sdp.A)
+    rows = {"re": np.where(k, 2 * k - 1, 0), "im": np.where(k, 2 * k, -1)}
+    extra = [_structural_rows(sdp.n)] if form == "naive" else []
+    entries = key_entries(
+        embed_entries(form, rows, 2 * m + 1, dim, p, q, re, im, sdp.n), dim, *extra
     )
-    return RealConicProgram(
-        psd_blocks=(dim,),
-        n_free=0,
-        rows=tuple(
-            Row(entries=funs[r], rhs=float(b))
-            for r, b in enumerate(np.column_stack([sdp.b.re, sdp.b.im]).flat)
-        ) + tuple(extra_rows),
-        objective=LinearFunctional(entries=funs[2 * m]),
-        sense="maximize",
-    )
+    rhs = np.zeros(len(entries[0]) - 1)
+    rhs[: 2 * m] = np.column_stack([sdp.b.re, sdp.b.im]).ravel()
+    return RealConicProgram.from_arrays((dim,), 0, entries, rhs)
 
 
 def reformulate_primal_naive(sdp: ComplexSDP) -> RealConicProgram:
@@ -354,7 +340,7 @@ def reformulate_primal_naive(sdp: ComplexSDP) -> RealConicProgram:
     part row (rhs Re b_k and Im b_k), followed by the n*(n+1) structural
     rows.  The objective uses the same Y_11/Y_21 functional shape.
     """
-    return _primal(sdp, "naive", _structural_rows(sdp.n))
+    return _primal(sdp, "naive")
 
 
 def reformulate_primal_dualview(sdp: ComplexSDP) -> RealConicProgram:
@@ -397,25 +383,17 @@ def reformulate_dual(sdp: ComplexSDP) -> RealConicProgram:
     cst[:n, n:] += sdp.C.im
     cst[n:, :n] -= sdp.C.im
 
-    rhs = (0.5 * (cst[iu, ju] + cst[ju, iu])).tolist()
-    rows = [
-        Row(entries=((0, p, q, 1.0 if p == q else 0.5),), free=free, rhs=r)
-        for p, q, free, r in zip(
-            iu.tolist(), ju.tolist(),
-            split_rows(lin.indptr, lin.indices, lin.data), rhs,
-        )
-    ]
-
-    return RealConicProgram(
-        psd_blocks=(dim,),
-        n_free=2 * m,
-        rows=tuple(rows),
-        objective=LinearFunctional(
-            free=accumulate_free(
-                [(k, float(sdp.b.re[k])) for k in range(m)]
-                + [(m + k, -float(sdp.b.im[k])) for k in range(m)]
-            )
-        ),
+    # row (p, q) holds X[p, q] itself and the free part of key (p, q); the
+    # objective is Re(b).Re(y) - Im(b).Im(y), exact zeros dropped
+    obj = np.concatenate([sdp.b.re, -sdp.b.im])
+    has = np.flatnonzero(obj != 0.0)
+    return RealConicProgram.from_arrays(
+        (dim,), 2 * m,
+        (np.r_[0, np.ones(iu.size, dtype=int)], np.zeros(iu.size, dtype=int),
+         iu, ju, np.where(iu == ju, 1.0, 0.5)),
+        0.5 * (cst[iu, ju] + cst[ju, iu]),
+        free=(np.r_[has.size, np.diff(lin.indptr)],
+              np.r_[has, lin.indices], np.r_[obj[has], lin.data]),
         sense="minimize",
     )
 

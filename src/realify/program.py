@@ -1,24 +1,28 @@
 """Sparse carrier for real SDPs with equality rows and free scalar variables.
 
-A program holds symmetric PSD matrix blocks ``X_0, ..., X_{B-1}`` and free
-scalars ``f_0, ..., f_{F-1}``.  Every linear functional (objective and
-constraint rows alike) is a sparse list of upper-triangle coefficients:
+A program holds symmetric PSD matrix blocks ``X_0, ..., X_{B-1}``, free
+scalars ``f_0, ..., f_{F-1}`` and linear functionals over them: functional
+0 is the objective and functional k + 1 the left side of row k.  Each is a
+sparse list of upper-triangle coefficients,
 
     value = sum_{(b,i,j,c), i<j} c * (X_b[i,j] + X_b[j,i])
           + sum_{(b,i,i,c)}      c *  X_b[i,i]
           + sum_{(k,c)}          c *  f_k
 
-Storing only ``i <= j`` keys keeps every functional in one canonical shape;
-symmetrization of inherently non-symmetric expressions is folded into the
-coefficients when a row is built.
+stored once for all functionals as arrays, ``prog.functionals``: a CSR over
+(block, i, j) keys and a CSR over free columns, next to ``prog.rhs``.
+Entries keep the order they were given in.  ``Row`` and
+``LinearFunctional`` are the tuple forms of one functional: a program is
+built from them or, by the producers, from arrays (``from_arrays``), and
+``prog.rows[k]`` and ``prog.objective`` rebuild them on each access.
 """
 
 from __future__ import annotations
 
-import math
-from dataclasses import dataclass
-from itertools import chain
-from typing import Iterable, Sequence
+from collections import namedtuple
+from collections.abc import Sequence
+from dataclasses import dataclass, field
+from typing import Iterable
 
 import numpy as np
 
@@ -37,6 +41,12 @@ BlockEntry = tuple[int, int, int, float]
 # (free-variable index, coefficient).
 FreeEntry = tuple[int, float]
 
+# Functional f: block entries indptr[f]:indptr[f + 1] of blk, i, j, coef;
+# free entries free_indptr[f]:free_indptr[f + 1] of free_idx, free_coef.
+Functionals = namedtuple(
+    "Functionals", "indptr blk i j coef free_indptr free_idx free_coef"
+)
+
 
 def accumulate_entries(
     raw: Iterable[tuple[int, int, int, float]],
@@ -48,67 +58,44 @@ def accumulate_entries(
     """
     acc: dict[tuple[int, int, int], float] = {}
     for b, i, j, c in raw:
-        if i > j:
-            i, j = j, i
-        key = (b, i, j)
+        key = (b, min(i, j), max(i, j))
         acc[key] = acc.get(key, 0.0) + c
-    return tuple(
-        (b, i, j, c) for (b, i, j), c in sorted(acc.items()) if c != 0.0
+    return tuple((*key, c) for key, c in sorted(acc.items()) if c != 0.0)
+
+
+def _stack(funs: Sequence["LinearFunctional"]) -> Functionals:
+    """The tuple entries of ``funs`` as arrays, in stored order."""
+    ent, fre = (
+        np.array([e for f in funs for e in getattr(f, part)], float).reshape(-1, w)
+        for part, w in (("entries", 4), ("free", 2))
     )
-
-
-def accumulate_free(raw: Iterable[tuple[int, float]]) -> tuple[FreeEntry, ...]:
-    acc: dict[int, float] = {}
-    for k, c in raw:
-        acc[k] = acc.get(k, 0.0) + c
-    return tuple((k, c) for k, c in sorted(acc.items()) if c != 0.0)
-
-
-def stack_entries(funs: Sequence["LinearFunctional"]):
-    """Entries of ``funs`` as arrays, in stored order.
-
-    Returns ``(fun, b, i, j, c)`` over the block entries and ``(fun, k, c)``
-    over the free entries, ``fun`` being the functional's position in
-    ``funs``.
-    """
-    ne = [len(f.entries) for f in funs]
-    nf = [len(f.free) for f in funs]
-    ent = np.fromiter(
-        chain.from_iterable(chain.from_iterable(f.entries for f in funs)),
-        dtype=float, count=4 * sum(ne),
-    ).reshape(-1, 4)
-    fre = np.fromiter(
-        chain.from_iterable(chain.from_iterable(f.free for f in funs)),
-        dtype=float, count=2 * sum(nf),
-    ).reshape(-1, 2)
-    at = np.arange(len(funs))
-    b, i, j = ent[:, :3].astype(np.intp).T
-    return (
-        (np.repeat(at, ne), b, i, j, ent[:, 3]),
-        (np.repeat(at, nf), fre[:, 0].astype(np.intp), fre[:, 1]),
+    b, i, j = ent[:, :3].T.astype(np.intp, order="C")
+    return Functionals(
+        np.r_[0, np.cumsum([len(f.entries) for f in funs])], b, i, j,
+        ent[:, 3].copy(), np.r_[0, np.cumsum([len(f.free) for f in funs])],
+        fre[:, 0].astype(np.intp), fre[:, 1].copy(),
     )
 
 
 def _values(
-    funs: Sequence["LinearFunctional"],
-    blocks: Sequence[np.ndarray],
-    free: np.ndarray,
+    fun: Functionals, blocks: Sequence[np.ndarray], free: np.ndarray
 ) -> np.ndarray:
-    """Value of every functional in ``funs``.
+    """Value of every functional.
 
     Each value is summed from 0.0 in stored order, block entries then free
     entries, as a loop over the entries would; ``np.bincount`` adds its
     weights in input order.
     """
-    (at, b, i, j, c), (fat, k, fc) = stack_entries(funs)
-    x = np.empty(c.size)
-    for blk in np.flatnonzero(np.bincount(b)).tolist():
-        sel = b == blk
-        ii, jj, mat = i[sel], j[sel], blocks[blk]
-        x[sel] = np.where(ii == jj, mat[ii, jj], mat[ii, jj] + mat[jj, ii])
-    terms = np.concatenate([c * x, fc * np.asarray(free)[k]])
+    # per key, X[i, i] on the diagonal and X[i, j] + X[j, i] off it
+    sym = [np.where(np.eye(len(x), dtype=bool), x, x + x.T).ravel() for x in blocks]
+    sizes = np.array([len(x) for x in blocks] + [0])
+    off = np.r_[0, np.cumsum(sizes**2)]
+    x = np.concatenate(sym + [[]])[off[fun.blk] + fun.i * sizes[fun.blk] + fun.j]
+    at = np.arange(len(fun.indptr) - 1)
     return np.bincount(
-        np.concatenate([at, fat]), weights=terms, minlength=len(funs)
+        np.repeat(np.r_[at, at], np.r_[np.diff(fun.indptr), np.diff(fun.free_indptr)]),
+        weights=np.r_[fun.coef * x, fun.free_coef * np.asarray(free)[fun.free_idx]],
+        minlength=at.size,
     )
 
 
@@ -120,7 +107,7 @@ class LinearFunctional:
     free: tuple[FreeEntry, ...] = ()
 
     def value(self, blocks: Sequence[np.ndarray], free: np.ndarray) -> float:
-        return float(_values((self,), blocks, free)[0])
+        return float(_values(_stack((self,)), blocks, free)[0])
 
 
 @dataclass(frozen=True)
@@ -131,6 +118,36 @@ class Row(LinearFunctional):
 
 
 @dataclass(frozen=True)
+class _Rows(Sequence):
+    """``prog.rows``: row k is built from the program's arrays on access."""
+
+    prog: "RealConicProgram"
+
+    def __len__(self) -> int:
+        return self.prog.n_rows
+
+    def __getitem__(self, k: int) -> Row:
+        k = range(len(self))[k]
+        return Row(*self.prog._tuples(k + 1), rhs=float(self.prog.rhs[k]))
+
+    def __add__(self, other) -> tuple:
+        return tuple(self) + tuple(other)
+
+    def __radd__(self, other) -> tuple:
+        return tuple(other) + tuple(self)
+
+
+# What a block entry, then a free entry, reports for the first check it
+# fails: block id, triangle, repeated key, finiteness.
+_FAULTS = (
+    ("", "block id {b} out of range",
+     "entry ({i},{j}) outside upper triangle of block {b} (size {n})",
+     "duplicate key ({b},{i},{j})", "non-finite coefficient"),
+    ("", "", "free index {i} out of range", "duplicate free index {i}",
+     "non-finite coefficient"),
+)
+
+
 class RealConicProgram:
     """max/min of a linear functional over PSD blocks, free scalars, rows.
 
@@ -143,64 +160,119 @@ class RealConicProgram:
     sense      : "maximize" or "minimize".
     """
 
-    psd_blocks: tuple[int, ...]
-    n_free: int
-    rows: tuple[Row, ...]
-    objective: LinearFunctional
-    sense: str = "maximize"
+    def __init__(
+        self, psd_blocks: tuple[int, ...], n_free: int, rows: Sequence[Row],
+        objective: LinearFunctional, sense: str = "maximize",
+    ) -> None:
+        rows = tuple(rows)
+        self.psd_blocks, self.n_free, self.sense = tuple(psd_blocks), n_free, sense
+        self.functionals = _stack((objective,) + rows)
+        self.rhs = np.array([r.rhs for r in rows], dtype=float)
+        self.__post_init__()
+
+    @classmethod
+    def from_arrays(
+        cls, psd_blocks, n_free, entries, rhs, free=None, sense="maximize"
+    ) -> "RealConicProgram":
+        """Checked program whose functional f takes the next counts[f] entries
+        of ``entries`` (counts, blk, i, j, coef) and of ``free`` (counts, idx, coef)."""
+        counts, blk, i, j, coef = entries
+        fcounts, idx, fcoef = free or (np.zeros_like(counts), [], [])
+        prog = cls.__new__(cls)
+        prog.psd_blocks, prog.n_free, prog.sense = tuple(psd_blocks), n_free, sense
+        prog.functionals = Functionals(
+            np.r_[0, np.cumsum(counts)], blk, i, j, np.asarray(coef, float),
+            np.r_[0, np.cumsum(fcounts)], np.asarray(idx, np.intp),
+            np.asarray(fcoef, float),
+        )
+        prog.rhs = np.asarray(rhs, dtype=float)
+        prog.__post_init__()
+        return prog
 
     def __post_init__(self) -> None:
         if self.sense not in ("maximize", "minimize"):
             raise ValueError(f"unknown sense {self.sense!r}")
         if self.n_free < 0:
             raise ValueError("n_free must be nonnegative")
-        for size in self.psd_blocks:
-            if size < 1:
-                raise ValueError("PSD block sizes must be positive")
-        for where, fun in (("objective", self.objective), *(
-            (f"row {k}", r) for k, r in enumerate(self.rows)
-        )):
-            self._check_functional(where, fun)
-        for k, r in enumerate(self.rows):
-            if not math.isfinite(r.rhs):
-                raise ValueError(f"row {k}: non-finite rhs")
+        if any(size < 1 for size in self.psd_blocks):
+            raise ValueError("PSD block sizes must be positive")
+        self._check_entries()
+        for k in np.flatnonzero(~np.isfinite(self.rhs))[:1]:
+            raise ValueError(f"row {k}: non-finite rhs")
 
-    def _check_functional(self, where: str, fun: LinearFunctional) -> None:
-        seen: set[tuple[int, int, int]] = set()
-        for b, i, j, c in fun.entries:
-            if not 0 <= b < len(self.psd_blocks):
-                raise ValueError(f"{where}: block id {b} out of range")
-            n = self.psd_blocks[b]
-            if not (0 <= i <= j < n):
-                raise ValueError(
-                    f"{where}: entry ({i},{j}) outside upper triangle of "
-                    f"block {b} (size {n})"
-                )
-            if (b, i, j) in seen:
-                raise ValueError(f"{where}: duplicate key ({b},{i},{j})")
-            seen.add((b, i, j))
-            if not math.isfinite(c):
-                raise ValueError(f"{where}: non-finite coefficient")
-        seen_free: set[int] = set()
-        for k, c in fun.free:
-            if not 0 <= k < self.n_free:
-                raise ValueError(f"{where}: free index {k} out of range")
-            if k in seen_free:
-                raise ValueError(f"{where}: duplicate free index {k}")
-            seen_free.add(k)
-            if not math.isfinite(c):
-                raise ValueError(f"{where}: non-finite coefficient")
+    def _check_entries(self) -> None:
+        """Report the first bad entry, functional by functional.
+
+        Within a functional the block entries come before the free ones.
+        A free entry (k, c) is checked as the entry (k, k) of a last block
+        of size n_free.
+        """
+        a, nb = self.functionals, len(self.psd_blocks)
+        at = np.arange(len(a.indptr) - 1)
+        fun = np.repeat(np.r_[at, at], np.r_[np.diff(a.indptr), np.diff(a.free_indptr)])
+        free = np.arange(fun.size) >= a.blk.size
+        pad = np.full(a.free_idx.size, nb)
+        b, i, j = (
+            np.r_[x, y].astype(np.int64)
+            for x, y in ((a.blk, pad), (a.i, a.free_idx), (a.j, a.free_idx))
+        )
+        b_ok = free | ((b >= 0) & (b < nb))
+        sizes = np.array(self.psd_blocks + (self.n_free,), dtype=np.int64)
+        n = sizes[np.where(b_ok, b, nb)]
+        tri = (i >= 0) & (i <= j) & (j < n)
+        off = np.r_[0, np.cumsum(sizes**2)]
+        key = fun * off[-1] + off[np.where(b_ok, b, nb)] + i * n + j
+        key = np.where(b_ok & tri, key, -1 - np.arange(key.size))
+        # a repeated key is one an earlier entry holds; producers emit keys
+        # in increasing order, within the block and the free entries
+        rise = np.diff(key) > 0
+        rise[a.blk.size - 1:a.blk.size] = True
+        dup = np.zeros(key.size, dtype=bool)
+        if not rise.all():
+            order = np.argsort(key, kind="stable")
+            dup[order[1:]] = key[order[1:]] == key[order[:-1]]
+        finite = np.isfinite(np.r_[a.coef, a.free_coef])
+        code = np.select([~b_ok, ~tri, dup, ~finite], [1, 2, 3, 4])
+        if code.any():
+            r = np.flatnonzero(code)[np.argmin(fun[code > 0])]
+            msg = _FAULTS[int(free[r])][code[r]]
+            where = f"row {fun[r] - 1}" if fun[r] else "objective"
+            raise ValueError(f"{where}: " + msg.format(b=b[r], i=i[r], j=j[r], n=n[r]))
+
+    def _tuples(self, f: int) -> tuple[tuple, tuple]:
+        """(entries, free) of functional f as tuples."""
+        a = self.functionals
+        e, fe = slice(*a.indptr[f:f + 2]), slice(*a.free_indptr[f:f + 2])
+        return (
+            tuple(zip(*(x[e].tolist() for x in (a.blk, a.i, a.j, a.coef)))),
+            tuple(zip(a.free_idx[fe].tolist(), a.free_coef[fe].tolist())),
+        )
+
+    @property
+    def rows(self) -> _Rows:
+        return _Rows(self)
+
+    @property
+    def objective(self) -> LinearFunctional:
+        return LinearFunctional(*self._tuples(0))
 
     @property
     def n_rows(self) -> int:
-        return len(self.rows)
+        return self.rhs.size
+
+    def __eq__(self, other) -> bool:
+        if not isinstance(other, RealConicProgram):
+            return NotImplemented
+        return all(np.array_equal(x, y) for x, y in zip(*(
+            (p.psd_blocks, p.n_free, p.sense, p.rhs, *p.functionals)
+            for p in (self, other)
+        )))
 
     def row_residuals(
         self, blocks: Sequence[np.ndarray], free: np.ndarray
     ) -> np.ndarray:
         """Vector of functional(vars) - rhs over all rows."""
-        rhs = np.array([r.rhs for r in self.rows], dtype=float)
-        return _values(self.rows, blocks, free) - rhs
+        return _values(self.functionals, blocks, free)[1:] - self.rhs
 
 
 @dataclass(frozen=True)
@@ -211,6 +283,9 @@ class SolveResult:
     ``objective`` is reported in the program's own sense.  Dual values follow
     the multiplier convention in which, at an optimum of a maximization
     program, sum_k rhs_k * dual_row_values[k] equals the objective.
+    ``presolve`` lists, by index, what presolve took out: structurally
+    empty rows ("dropped_empty"), rows dependent on earlier ones
+    ("dropped_dependent") and free scalars fixed at zero ("dropped_free").
     """
 
     status: str
@@ -220,6 +295,7 @@ class SolveResult:
     dual_row_values: np.ndarray
     residuals: dict[str, float]
     iterations: int = 0
+    presolve: dict[str, list[int]] = field(default_factory=dict)
 
     def __post_init__(self) -> None:
         if self.status not in ("optimal", "max_iter", "infeasible", "numerical"):

@@ -34,17 +34,11 @@ import scipy.sparse as sp
 from .complex_sdp import (
     HermitianMatrix,
     _structural_rows,
-    block_entries,
     embed_entries,
-    split_rows,
+    key_entries,
 )
 from .polynomials import CPOP, Exponent, MonomialBasis, monomial_basis
-from .program import (
-    LinearFunctional,
-    RealConicProgram,
-    Row,
-    SolveResult,
-)
+from .program import RealConicProgram, SolveResult
 
 __all__ = [
     "MomentKey",
@@ -216,20 +210,25 @@ def assemble_hsos(p: CPOP, d: int, form: str) -> RelaxationArtifact:
     psd_dims = dims[~is_eq].tolist()
 
     # every data entry once, with the real and the imaginary row of its
-    # key; the diagonal keys have no imaginary row (-1)
+    # key; the diagonal keys have no imaginary row (-1).  Functional 0 is
+    # the objective, so row r is functional r + 1.
     ents = [data.entries.get(key, ()) for key in re_keys]
     re_row = np.repeat(np.arange(len(re_keys)), [len(e) for e in ents])
     has_im = np.array([beta != gamma for beta, gamma in re_keys])
-    im_row = np.where(has_im, len(re_keys) + np.cumsum(has_im) - 1, -1)[re_row]
+    im_row = np.where(has_im, len(re_keys) + np.cumsum(has_im), -1)[re_row]
+    re_row += 1
     blk, pb, qb, c = map(np.array, zip(*(e for es in ents for e in es)))
 
     psd = ~is_eq[blk]
     size = 2 * max(psd_dims)
-    entries = block_entries(embed_entries(
-        form, {"re": re_row[psd], "im": im_row[psd]}, len(parts), size,
+    entries = key_entries(embed_entries(
+        form, {"re": re_row[psd], "im": im_row[psd]}, len(parts) + 1, size,
         pb[psd], qb[psd], c.real[psd], c.imag[psd], dims[blk[psd]],
         psd_of[blk[psd]],
-    ), size)
+    ), size, *(
+        _structural_rows(w, k) for k, w in enumerate(psd_dims) if form == "naive"
+    ))
+    n_fun = len(entries[0])
 
     # the equality entries, through Re(cH) = Re(c) P - Im(c) Q and
     # Im(cH) = Im(c) P + Re(c) Q, with Q[q, p] = -Q[p, q]
@@ -242,37 +241,25 @@ def assemble_hsos(p: CPOP, d: int, form: str) -> RelaxationArtifact:
     sign = np.where(pb[eq] < qb[eq], 1.0, -1.0)
     o, h = i != j, im_at >= 0
     row, col, val = (np.concatenate(x) for x in zip(
-        ([re_keys.index(zero_key)], [0], [1.0]),  # the bound variable
+        ([0], [0], [1.0]),  # the objective: maximize the bound variable
+        ([1 + re_keys.index(zero_key)], [0], [1.0]),  # its one row
         (re_at, real, c.real),
         (re_at[o], imag[o], sign[o] * -c.imag[o]),
         (im_at[h], real[h], c.imag[h]),
         (im_at[o & h], imag[o & h], (sign * c.real)[o & h]),
     ))
-    free = sp.csr_matrix(
-        (val, (row, col)), shape=(len(parts), 1 + int(sq.sum()))
-    )
+    free = sp.csr_matrix((val, (row, col)), shape=(n_fun, 1 + int(sq.sum())))
     free.eliminate_zeros()
 
-    rows: list[Row] = []
-    for (key, part), ent, fr in zip(
-        parts, entries, split_rows(free.indptr, free.indices, free.data)
-    ):
-        b = complex(p.f.terms.get(key, 0j))
-        if key[0] == key[1] and b.imag != 0.0:
-            raise ValueError(f"diagonal objective coefficient {key!r} not real")
-        rows.append(
-            Row(entries=ent, free=fr, rhs=b.real if part == "re" else b.imag)
-        )
-    if form == "naive":
-        for k, w in enumerate(psd_dims):
-            rows.extend(_structural_rows(w, k))
+    b = np.array([complex(p.f.terms.get(key, 0j)) for key in re_keys])
+    for t in np.flatnonzero(~has_im & (b.imag != 0.0))[:1]:
+        raise ValueError(f"diagonal objective coefficient {re_keys[t]!r} not real")
+    rhs = np.zeros(n_fun - 1)
+    rhs[: len(parts)] = np.concatenate([b.real, b[has_im].imag])
 
-    program = RealConicProgram(
-        psd_blocks=tuple(2 * w for w in psd_dims),
-        n_free=free.shape[1],
-        rows=tuple(rows),
-        objective=LinearFunctional(free=((0, 1.0),)),
-        sense="maximize",
+    program = RealConicProgram.from_arrays(
+        tuple(2 * w for w in psd_dims), free.shape[1], entries, rhs,
+        free=(np.diff(free.indptr), free.indices, free.data),
     )
     return RelaxationArtifact(
         order=d,

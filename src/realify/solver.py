@@ -28,7 +28,7 @@ import numpy as np
 import scipy.linalg as sla
 import scipy.sparse as sp
 
-from .program import RealConicProgram, SolveResult, stack_entries
+from .program import RealConicProgram, SolveResult
 
 __all__ = ["SolverOptions", "solve"]
 
@@ -83,46 +83,43 @@ class _Workspace:
     """
 
     def __init__(self, prog: RealConicProgram):
-        self.prog = prog
         self.sizes = list(prog.psd_blocks)
         self.nf_total = prog.n_free
         self.sign = -1.0 if prog.sense == "maximize" else 1.0
 
         # Structurally empty rows are dropped up front (their duals are
         # zero); an empty row with nonzero rhs is an immediate
-        # infeasibility certificate.
-        self.active: list[int] = []
-        self.bad_empty: list[int] = []
-        for k, row in enumerate(prog.rows):
-            if row.entries or row.free:
-                self.active.append(k)
-            elif abs(row.rhs) > _TINY:
-                self.bad_empty.append(k)
-        self.m = len(self.active)
+        # infeasibility certificate.  Functional k + 1 is row k.
+        a = prog.functionals
+        counts, fcounts = np.diff(a.indptr), np.diff(a.free_indptr)
+        empty = (counts[1:] == 0) & (fcounts[1:] == 0)
+        self.dropped_empty = np.flatnonzero(empty).tolist()
+        self.bad_empty = np.flatnonzero(empty & (np.abs(prog.rhs) > _TINY)).tolist()
+        self.active = np.flatnonzero(~empty)
+        self.m = self.active.size
+        self.b = prog.rhs[~empty]
+        self.rhs_scale = 1.0 + float(np.abs(prog.rhs).max(initial=0.0))
 
-        self.b = np.array(
-            [prog.rows[k].rhs for k in self.active], dtype=float
-        )
-        (kk, bs, i, j, c), (fkk, kfree, fc) = stack_entries(
-            [prog.rows[k] for k in self.active]
-        )
+        # each free entry's position among the active rows; the objective's
+        # f0 free entries come first
+        at, f0 = np.r_[0, np.cumsum(~empty) - 1], fcounts[0]
         self.F = np.zeros((self.m, self.nf_total))
-        self.F[fkk, kfree] = fc
+        self.F[np.repeat(at, fcounts)[f0:], a.free_idx[f0:]] = a.free_coef[f0:]
         # R[b] holds vec(A_kb) per active row; used for all operator
-        # applications and the Schur assembly.  Each entry (i, j) is
-        # followed by its mirror (j, i) when off the diagonal.
-        self.R = []
+        # applications and the Schur assembly, each entry (i, j) with its
+        # mirror (j, i) when off the diagonal.  The same layout of the
+        # objective, functional 0, is C_b.
+        fun = np.repeat(np.arange(counts.size), counts)
+        self.R, self.C = [], []
         for b, n in enumerate(self.sizes):
-            sel = np.flatnonzero(bs == b)
-            ib, jb = i[sel], j[sel]
-            twice = 1 + (ib != jb)
-            cols = np.stack([ib * n + jb, jb * n + ib], axis=1)
-            cols = cols[np.arange(2) < twice[:, None]]
-            rows_ = np.repeat(kk[sel], twice)
-            self.R.append(sp.coo_matrix(
-                (np.repeat(c[sel], twice), (rows_, cols)),
-                shape=(self.m, n * n),
-            ).tocsr())
+            sel = a.blk == b
+            off = sel & (a.i != a.j)
+            Rb = sp.csr_matrix((np.r_[a.coef[sel], a.coef[off]], (
+                np.r_[fun[sel], fun[off]],
+                np.r_[a.i[sel] * n + a.j[sel], a.j[off] * n + a.i[off]],
+            )), shape=(counts.size, n * n))
+            self.C.append((self.sign * Rb[0]).toarray().reshape(n, n))
+            self.R.append(Rb[1 + self.active])
 
         # Block part of the row Gram, sum_b R_b R_b'; the free part is added
         # per use because the free columns change in between.
@@ -138,11 +135,8 @@ class _Workspace:
             )
             if info >= 0 and rank < self.m:
                 keep = np.sort(piv[:rank] - 1)
-                kept = set(keep.tolist())
-                self.dropped_dependent = [
-                    self.active[i] for i in range(self.m) if i not in kept
-                ]
-                self.active = [self.active[i] for i in keep]
+                self.dropped_dependent = np.delete(self.active, keep).tolist()
+                self.active = self.active[keep]
                 self.b = self.b[keep]
                 self.F = self.F[keep]
                 self.R = [Rb[keep] for Rb in self.R]
@@ -150,8 +144,7 @@ class _Workspace:
                 RR = RR[np.ix_(keep, keep)]
 
         cf_full = np.zeros(self.nf_total)
-        for k, c in prog.objective.free:
-            cf_full[k] = self.sign * c
+        cf_full[a.free_idx[:f0]] = self.sign * a.free_coef[:f0]
         if self.nf_total:
             col_used = (self.F != 0.0).any(axis=0)
             # An unconstrained scalar with a real objective coefficient
@@ -199,27 +192,14 @@ class _Workspace:
                 (dense, self.R[b][dense], sparse, Rs, pos // n, pos % n, coef)
             )
 
-        self.C = []
-        for b, n in enumerate(self.sizes):
-            self.C.append(np.zeros((n, n)))
-        for b, i, j, c in prog.objective.entries:
-            v = self.sign * c
-            self.C[b][i, j] += v
-            if i != j:
-                self.C[b][j, i] += v
-
         self.N = sum(self.sizes) if self.sizes else 1
         norms = np.zeros(self.m)
-        for b in range(len(self.sizes)):
-            sq = np.asarray(self.R[b].multiply(self.R[b]).sum(axis=1)).ravel()
-            norms += sq
+        for Rb in self.R:
+            norms += np.asarray(Rb.multiply(Rb).sum(axis=1)).ravel()
         if self.nf:
             norms += (self.F ** 2).sum(axis=1)
         self.row_norms = np.sqrt(norms)
-        self.C_norm = max(
-            (float(np.linalg.norm(Cb)) for Cb in self.C), default=0.0
-        )
-        self.C_norm = max(self.C_norm, float(np.linalg.norm(self.cf)))
+        self.C_norm = max(float(np.linalg.norm(Cb)) for Cb in self.C + [self.cf])
 
     def _reduce_free_columns(self) -> None:
         """Drop free columns that are linear combinations of earlier ones.
@@ -266,10 +246,7 @@ class _Workspace:
         return out
 
     def apply_adjoint(self, y):
-        mats = []
-        for b, n in enumerate(self.sizes):
-            mats.append((self.R[b].T @ y).reshape(n, n))
-        return mats
+        return [(Rb.T @ y).reshape(n, n) for Rb, n in zip(self.R, self.sizes)]
 
     def project_primal(self, Xs, f, target):
         """Shift (Xs, f) by the least-norm correction with A(delta) = residual.
@@ -301,12 +278,7 @@ class _Workspace:
         return f
 
     def apply_gram(self, w):
-        out = np.zeros(self.m)
-        for Rb in self.R:
-            out += Rb @ (Rb.T @ w)
-        if self.nf:
-            out += self.F @ (self.F.T @ w)
-        return out
+        return self.apply(self.apply_adjoint(w), self.F.T @ w)
 
     def schur(self, Xs, Sinvs):
         """M[k, l] = sum_b <A_kb, X_b A_lb S_b^-1>.
@@ -435,10 +407,6 @@ def solve(prog: RealConicProgram, options: SolverOptions | None = None) -> Solve
     opts = options or SolverOptions()
     ws = _Workspace(prog)
 
-    rhs_scale = 1.0 + max(
-        (abs(row.rhs) for row in prog.rows), default=0.0
-    )
-
     def finish(status, Xs, f, y, res, iters):
         full_dual = np.zeros(prog.n_rows)
         if y is not None and ws.m:
@@ -453,7 +421,7 @@ def solve(prog: RealConicProgram, options: SolverOptions | None = None) -> Solve
         res = dict(res)
         if prog.n_rows:
             resid = prog.row_residuals(blocks, f_full)
-            full_p = float(np.abs(resid).max()) / rhs_scale
+            full_p = float(np.abs(resid).max()) / ws.rhs_scale
             res["primal_inf"] = full_p
             if status == "optimal" and full_p > 10.0 * opts.tol_primal:
                 status = "infeasible"
@@ -466,12 +434,16 @@ def solve(prog: RealConicProgram, options: SolverOptions | None = None) -> Solve
             dual_row_values=full_dual,
             residuals=res,
             iterations=iters,
+            presolve=dict(
+                dropped_empty=ws.dropped_empty, dropped_dependent=ws.dropped_dependent,
+                dropped_free=np.delete(np.arange(prog.n_free), ws.free_idx).tolist(),
+            ),
         )
 
     zero_blocks = [np.zeros((n, n)) for n in ws.sizes]
     zero_free = np.zeros(ws.nf)
     if ws.bad_empty:
-        worst = max(abs(prog.rows[k].rhs) for k in ws.bad_empty)
+        worst = float(np.abs(prog.rhs[ws.bad_empty]).max())
         return finish(
             "infeasible", zero_blocks, zero_free, None,
             {"primal_inf": worst, "dual_inf": 0.0, "gap": np.inf}, 0,

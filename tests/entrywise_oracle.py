@@ -11,6 +11,14 @@ require the two to agree to the bit.
 import numpy as np
 
 
+def accumulate_free(raw):
+    """Merge duplicate free indices, order them, and drop exact zeros."""
+    acc = {}
+    for k, c in raw:
+        acc[k] = acc.get(k, 0.0) + c
+    return tuple((k, c) for k, c in sorted(acc.items()) if c != 0.0)
+
+
 def _add(acc, blk: int, i: int, j: int, c: float) -> None:
     # coefficient c on the single matrix entry X[i, j]
     if c == 0.0:

@@ -163,6 +163,9 @@ def test_solve_writes_result_and_checks_sample(tmp_path, capsys):
         "max_iter": 200,
     }
     assert data["objective"] == float(lines[1].split("=", 1)[1])
+    assert set(data["presolve"]) == {
+        "dropped_empty", "dropped_dependent", "dropped_free"
+    }
     assert float(lines[1].split("=", 1)[1]) <= float(
         lines[2].split("=", 1)[1]
     ) + 1e-6

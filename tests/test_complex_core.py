@@ -28,9 +28,10 @@ from realify import (
     structural_constraints,
     solve,
 )
-from realify.program import accumulate_entries, accumulate_free
+from realify.program import accumulate_entries
 
 from entrywise_oracle import (
+    accumulate_free,
     add_dualview_imag,
     add_dualview_real,
     add_naive_imag,

@@ -33,7 +33,7 @@ def test_program_shape_is_checked(kwargs, message):
         program(**kwargs)
 
 
-@pytest.mark.parametrize("entries, free, message", [
+FAULTS = [
     (((1, 0, 0, 1.0),), (), r"row 0: block id 1 out of range"),
     (((-1, 0, 0, 1.0),), (), r"row 0: block id -1 out of range"),
     (((0, 2, 1, 1.0),), (),
@@ -50,12 +50,69 @@ def test_program_shape_is_checked(kwargs, message):
     ((), ((0, 1.0), (0, 1.0)), r"row 0: duplicate free index 0"),
     ((), ((0, float("nan")),), r"row 0: non-finite coefficient"),
     ((), ((0, -float("inf")),), r"row 0: non-finite coefficient"),
-])
+]
+
+
+@pytest.mark.parametrize("entries, free, message", FAULTS)
 def test_every_functional_is_checked(entries, free, message):
     with pytest.raises(ValueError, match=message):
         program(rows=[Row(entries=entries, free=free)])
     with pytest.raises(ValueError, match=message.replace("row 0", "objective")):
         program(objective=LinearFunctional(entries=entries, free=free))
+
+
+def from_arrays(rows=(), objective=LinearFunctional(), blocks=(3,), n_free=2):
+    """program(...), handed over as the arrays the producers build."""
+    funs = (objective, *rows)
+    ent = [e for f in funs for e in f.entries]
+    fre = [e for f in funs for e in f.free]
+    return RealConicProgram.from_arrays(
+        blocks, n_free,
+        ([len(f.entries) for f in funs],
+         *(np.array([e[t] for e in ent], dtype=int) for t in range(3)),
+         [e[3] for e in ent]),
+        [r.rhs for r in rows],
+        free=([len(f.free) for f in funs], [e[0] for e in fre],
+              [e[1] for e in fre]),
+    )
+
+
+@pytest.mark.parametrize("entries, free, message", FAULTS)
+def test_arrays_are_checked_like_tuples(entries, free, message):
+    with pytest.raises(ValueError, match=message):
+        from_arrays(rows=[Row(entries=entries, free=free)])
+    with pytest.raises(ValueError, match=message.replace("row 0", "objective")):
+        from_arrays(objective=LinearFunctional(entries=entries, free=free))
+
+
+def test_the_first_fault_is_reported_in_objective_then_row_order():
+    nan = float("nan")
+    rows = [
+        Row(entries=((0, 0, 0, 1.0),)),
+        # block entries come before free ones; the duplicate is caught
+        # before its non-finite coefficient
+        Row(entries=((0, 0, 1, 1.0), (0, 0, 1, nan)), free=((7, 1.0),)),
+        Row(entries=((9, 0, 0, 1.0),)),
+    ]
+    for build in (program, from_arrays):
+        with pytest.raises(ValueError, match=r"^row 1: duplicate key \(0,0,1\)$"):
+            build(rows=rows)
+        with pytest.raises(ValueError, match=r"^row 1: free index 7 out of range$"):
+            build(rows=[rows[0], Row(free=((7, 1.0),)), rows[2]])
+        with pytest.raises(ValueError, match=r"^objective: non-finite coefficient$"):
+            build(rows=rows, objective=LinearFunctional(free=((0, nan),)))
+
+
+def test_rows_are_built_from_the_arrays_on_each_access():
+    given = [Row(entries=((0, 1, 2, -0.5), (0, 0, 0, 1.0)), free=((1, 2.0),),
+                 rhs=3.0), Row(rhs=-1.0)]
+    prog = program(rows=given, objective=LinearFunctional(free=((0, 1.0),)))
+    assert list(prog.rows) == given
+    assert prog.rows[-1] == given[-1] and prog.rows[0] is not prog.rows[0]
+    assert prog.objective == LinearFunctional(free=((0, 1.0),))
+    assert prog == from_arrays(rows=given,
+                               objective=LinearFunctional(free=((0, 1.0),)))
+    assert prog != program(rows=given[::-1])
 
 
 @pytest.mark.parametrize("rhs", [float("nan"), float("inf"), -float("inf")])

@@ -11,7 +11,6 @@ from realify.program import (
     RealConicProgram,
     Row,
     accumulate_entries,
-    accumulate_free,
 )
 from realify.polynomials import (
     CPOP,
@@ -31,6 +30,7 @@ from realify.solver import SolverOptions, solve
 
 from entrywise_oracle import (
     ADDERS,
+    accumulate_free,
     add_dualview_imag,
     add_naive_imag,
     float_bits,

@@ -13,6 +13,8 @@ from realify import (
     RealConicProgram,
     Row,
     SolverOptions,
+    assemble_hsos,
+    gen_unitnorm_instance,
     solve,
 )
 from realify.solver import _free_solver, _solve_sym, _Workspace
@@ -285,6 +287,9 @@ def test_duplicated_row_matches_single_row_solution():
     assert b.objective == pytest.approx(a.objective, abs=1e-7)
     # the presolved-away copy reports a zero multiplier
     assert b.dual_row_values[1] == 0.0
+    assert b.presolve == {
+        "dropped_empty": [], "dropped_dependent": [1], "dropped_free": [],
+    }
 
 
 def test_contradictory_duplicate_row_is_infeasible():
@@ -466,3 +471,15 @@ def test_free_solver_falls_back_on_an_exactly_singular_system():
     np.testing.assert_allclose(
         _free_solver(regular)(B), np.linalg.solve(regular, B), rtol=1e-14
     )
+
+
+def test_presolve_reports_the_free_columns_it_removes():
+    # of the 301 free scalars of unitnorm (3,3), 254 are kept: the others
+    # enter no row or are linear combinations of kept ones
+    prog = assemble_hsos(gen_unitnorm_instance(3, 0), 3, "dualview").program
+    res = solve(prog, SolverOptions(tol_gap=1e-7, tol_primal=1e-7, tol_dual=1e-7))
+    assert res.status == "optimal"
+    assert prog.n_free == 301
+    assert len(res.presolve["dropped_free"]) == 47
+    assert res.presolve["dropped_empty"] == res.presolve["dropped_dependent"] == []
+    assert np.all(res.free_values[res.presolve["dropped_free"]] == 0.0)
