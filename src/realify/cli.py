@@ -40,7 +40,7 @@ REPORT_FIELDS = (
     "time_dualview",
     "seed",
 )
-SIDECAR_VERSION = 1
+SIDECAR_VERSION = 2
 RESULT_VERSION = 1
 
 
@@ -81,14 +81,22 @@ def cmd_relax(args) -> int:
     art = assemble_hsos(p, args.d, args.form)
     export_sdpa(art.program, args.out)
 
-    keyed = {rid: (key, part) for (key, part), rid in art.row_index.items()}
+    # every (key, part) in key order, so a row's first key is its class's
+    members: dict[int, list] = {}
+    for (key, part), rid in art.row_index.items():
+        members.setdefault(rid, []).append((key, part))
     rows = []
     for rid in range(art.program.n_rows):
-        if rid in keyed:
-            (beta, gamma), part = keyed[rid]
-            rows.append(
-                {"row": rid, "beta": list(beta), "gamma": list(gamma), "part": part}
-            )
+        if rid in members:
+            ((beta, gamma), part), *rest = members[rid]
+            row = {
+                "row": rid, "beta": list(beta), "gamma": list(gamma), "part": part
+            }
+            if rest:
+                row["merged"] = [
+                    {"beta": list(b), "gamma": list(g)} for (b, g), _ in rest
+                ]
+            rows.append(row)
         else:
             rows.append({"row": rid, "structural": True})
     sidecar = {

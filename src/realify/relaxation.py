@@ -10,17 +10,26 @@ equality (Josz and Molzahn, SIAM J. Optim. 2018).  Matching coefficients of
 z^beta conj(z)^gamma produces one equality row per pair; conjugate symmetry
 makes the (gamma, beta) half redundant, so rows are emitted for
 beta <= gamma only, and the diagonal imaginary rows, which cancel
-identically after that folding, are omitted in both forms.  Each PSD
-Hermitian block is then realified by complex_sdp's quadrant table, the
-rule the complex SDP reformulations use too: the doubled block with its
-structural rows ("naive") or the unstructured block whose functionals
-touch only X1+X2 and X3-X3' ("dualview").  All data entries go through
-that table in one array pass.  A free multiplier H = P + iQ needs no
-embedding: it enters both forms as the same w^2 free scalars, placed by
-index arithmetic.
+identically after that folding, are omitted in both forms.
+
+A binomial equality c (z^mu conj(z)^mu - z^nu conj(z)^nu) = 0, such as
+|z_i|^2 = 1, states that the moments at (a + mu, b + mu) and
+(a + nu, b + nu) are one unknown.  The relaxation is built on that
+quotient: those keys share one row, the sum of theirs, and the equality
+needs no multiplier, because its H would enter that row at c and -c.
+Every other equality keeps its free H.
+
+Each PSD Hermitian block is then realified by complex_sdp's quadrant
+table, the rule the complex SDP reformulations use too: the doubled
+block with its structural rows ("naive") or the unstructured block whose
+functionals touch only X1+X2 and X3-X3' ("dualview").  All data entries
+go through that table in one array pass.  A free multiplier H = P + iQ
+needs no embedding: it enters both forms as the same w^2 free scalars,
+placed by index arithmetic.
 
 The dual multipliers of the coefficient rows are exactly the moment
-sequence of the relaxation, which ``extract_moments`` reads off.
+sequence of the relaxation, which ``extract_moments`` reads off; the
+keys of one class read the same row.
 """
 
 from __future__ import annotations
@@ -30,6 +39,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 import scipy.sparse as sp
+from scipy.sparse.csgraph import connected_components
 
 from .complex_sdp import (
     HermitianMatrix,
@@ -156,6 +166,47 @@ def moment_matrix(y, basis: MonomialBasis) -> HermitianMatrix:
     return HermitianMatrix.from_complex(z)
 
 
+def _key_classes(p: CPOP, d: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Classes of the canonical keys (pairs i <= j of the degree-d basis,
+    row-major) that the binomial equalities identify, numbered in the order
+    of their first key; which classes are off-diagonal; which constraints
+    they absorb.
+
+    A binomial equality c (z^mu conj(z)^mu - z^nu conj(z)^nu) = 0 links
+    (a + mu, b + mu) to (a + nu, b + nu) at every position (a, b) of its
+    localizing block.  A shift by (mu, mu) keeps the graded order of a
+    pair, so canonical positions link canonical keys and no class mixes
+    diagonal and off-diagonal keys.
+    """
+    basis = monomial_basis(p.s, d)
+    w = len(basis)
+    i, j = np.triu_indices(w)
+    absorbed = np.zeros(len(p.constraints), dtype=bool)
+    ends = [np.zeros(0, dtype=np.intp)] * 2
+    for k, ((g, kind), dk) in enumerate(zip(p.constraints, p.constraint_orders)):
+        if kind != "eq" or len(g.terms) != 2:
+            continue
+        ((mu, m2), c1), ((nu, n2), c2) = g.terms.items()
+        if mu != m2 or nu != n2 or c1 + c2 != 0:
+            continue
+        absorbed[k] = True
+        loc = monomial_basis(p.s, d - dk).exponents
+        a, b = np.triu_indices(len(loc))
+        for t, shift in enumerate((mu, nu)):
+            at = np.array([
+                basis.index[tuple(x + y for x, y in zip(e, shift))] for e in loc
+            ])
+            lo, hi = at[a], at[b]
+            ends[t] = np.concatenate([ends[t], lo * (2 * w - lo + 1) // 2 + hi - lo])
+    n = len(i)
+    links = sp.coo_matrix((np.ones(len(ends[0])), tuple(ends)), shape=(n, n))
+    _, comp = connected_components(links, directed=False)
+    first = np.full(n, n)
+    np.minimum.at(first, comp, np.arange(n))
+    reps, cls = np.unique(first[comp], return_inverse=True)
+    return cls, i[reps] != j[reps], absorbed
+
+
 @dataclass(frozen=True)
 class RelaxationArtifact:
     """Assembled real SDP plus the bookkeeping to interpret its solution."""
@@ -171,21 +222,27 @@ class RelaxationArtifact:
 def assemble_hsos(p: CPOP, d: int, form: str) -> RelaxationArtifact:
     """Emit the order-d relaxation as a real conic program.
 
-    Row layout: real rows for every canonical key in basis order, then
-    imaginary rows for the strictly off-diagonal keys, then (naive form
-    only) the structural rows of each doubled PSD block.  The PSD blocks
-    are the moment block and one per "ge" constraint, in constraint order;
-    ``complex_sdp.embed_entries`` places their data entries.
+    Row layout: one real row per class of canonical keys (see
+    ``_key_classes``), in the order of each class's first key, then one
+    imaginary row per off-diagonal class, then (naive form only) the
+    structural rows of each doubled PSD block.  A class row is the sum of
+    the rows of its keys, rhs included; without binomial equalities every
+    key is its own class.  ``row_index`` maps every canonical (key, part)
+    to its class row.  The PSD blocks are the moment block and one per
+    "ge" constraint, in constraint order; ``complex_sdp.embed_entries``
+    places their data entries.
 
     Free scalar 0 is the bound variable: it enters exactly once, in the
     real row of the constant key, and the objective is to maximize it.
-    Each equality's free multiplier H = P + iQ (w x w) follows, in
-    constraint order, as w(w+1)/2 scalars P[p, q] (p <= q) and then
-    w(w-1)/2 scalars Q[p, q] (p < q), each triangle row-major, with
-    Q[q, p] = -Q[p, q].  A data entry c at (p, q) of an equality block adds
-    Re(c H[p, q]) = Re(c) P[p, q] - Im(c) Q[p, q] to its key's real row
-    and Im(c H[p, q]) = Im(c) P[p, q] + Re(c) Q[p, q] to its imaginary
-    row, in both forms.
+    Each equality that is not binomial keeps a free multiplier
+    H = P + iQ (w x w), in constraint order, as w(w+1)/2 scalars P[p, q]
+    (p <= q) and then w(w-1)/2 scalars Q[p, q] (p < q), each triangle
+    row-major, with Q[q, p] = -Q[p, q].  A data entry c at (p, q) of its
+    block adds Re(c H[p, q]) = Re(c) P[p, q] - Im(c) Q[p, q] to its key's
+    real row and Im(c H[p, q]) = Im(c) P[p, q] + Re(c) Q[p, q] to its
+    imaginary row, in both forms.  A binomial equality's H[p, q] would
+    enter a single class row, at c and -c, so it has no block and no
+    scalars.
     """
     if form not in ("naive", "dualview"):
         raise ValueError(f"unknown form {form!r}")
@@ -195,34 +252,38 @@ def assemble_hsos(p: CPOP, d: int, form: str) -> RelaxationArtifact:
     dims = np.array(data.block_dims)
     exps = data.bases[0].exponents
     w0 = len(exps)
-    zero_key = ((0,) * p.s, (0,) * p.s)
     re_keys = [(exps[i], exps[j]) for i in range(w0) for j in range(i, w0)]
-    im_keys = [(exps[i], exps[j]) for i in range(w0) for j in range(i + 1, w0)]
-    parts = [(key, "re") for key in re_keys] + [(key, "im") for key in im_keys]
+    cls, off, absorbed = _key_classes(p, d)
+    n_re = len(off)
+    n_data = n_re + int(off.sum())
 
-    # data block -> PSD block index, or -> first free scalar of its H
+    # data block -> PSD block index, or -> first free scalar of its H; the
+    # blocks of absorbed equalities get neither (data.sources is -1, 0, 1..)
     is_eq = np.array([
         src >= 0 and p.constraints[src][1] == "eq" for src in data.sources
     ])
+    gone = np.r_[False, absorbed]
     psd_of = np.cumsum(~is_eq) - 1
-    sq = np.where(is_eq, dims**2, 0)
+    sq = np.where(is_eq & ~gone, dims**2, 0)
     free_of = 1 + np.cumsum(sq) - sq
     psd_dims = dims[~is_eq].tolist()
 
     # every data entry once, with the real and the imaginary row of its
-    # key; the diagonal keys have no imaginary row (-1).  Functional 0 is
-    # the objective, so row r is functional r + 1.
+    # key's class; diagonal classes have no imaginary row (-1).
+    # Functional 0 is the objective, so row r is functional r + 1.
     ents = [data.entries.get(key, ()) for key in re_keys]
-    re_row = np.repeat(np.arange(len(re_keys)), [len(e) for e in ents])
-    has_im = np.array([beta != gamma for beta, gamma in re_keys])
-    im_row = np.where(has_im, len(re_keys) + np.cumsum(has_im), -1)[re_row]
-    re_row += 1
+    owner = np.repeat(np.arange(len(re_keys)), [len(e) for e in ents])
+    re_fun = 1 + cls
+    im_fun = np.where(off, n_re + np.cumsum(off), -1)[cls]
     blk, pb, qb, c = map(np.array, zip(*(e for es in ents for e in es)))
+    kept = ~gone[blk]
+    blk, pb, qb, c, owner = (x[kept] for x in (blk, pb, qb, c, owner))
+    re_row, im_row = re_fun[owner], im_fun[owner]
 
     psd = ~is_eq[blk]
     size = 2 * max(psd_dims)
     entries = key_entries(embed_entries(
-        form, {"re": re_row[psd], "im": im_row[psd]}, len(parts) + 1, size,
+        form, {"re": re_row[psd], "im": im_row[psd]}, n_data + 1, size,
         pb[psd], qb[psd], c.real[psd], c.imag[psd], dims[blk[psd]],
         psd_of[blk[psd]],
     ), size, *(
@@ -242,7 +303,7 @@ def assemble_hsos(p: CPOP, d: int, form: str) -> RelaxationArtifact:
     o, h = i != j, im_at >= 0
     row, col, val = (np.concatenate(x) for x in zip(
         ([0], [0], [1.0]),  # the objective: maximize the bound variable
-        ([1 + re_keys.index(zero_key)], [0], [1.0]),  # its one row
+        ([1], [0], [1.0]),  # its one row, the constant key's class
         (re_at, real, c.real),
         (re_at[o], imag[o], sign[o] * -c.imag[o]),
         (im_at[h], real[h], c.imag[h]),
@@ -252,10 +313,16 @@ def assemble_hsos(p: CPOP, d: int, form: str) -> RelaxationArtifact:
     free.eliminate_zeros()
 
     b = np.array([complex(p.f.terms.get(key, 0j)) for key in re_keys])
-    for t in np.flatnonzero(~has_im & (b.imag != 0.0))[:1]:
+    for t in np.flatnonzero((im_fun < 0) & (b.imag != 0.0))[:1]:
         raise ValueError(f"diagonal objective coefficient {re_keys[t]!r} not real")
+    # each class sums its keys' coefficients onto its first key's
+    first = np.unique(cls, return_index=True)[1]
+    later = np.ones(len(cls), dtype=bool)
+    later[first] = False
+    bc = b[first]
+    np.add.at(bc, cls[later], b[later])
     rhs = np.zeros(n_fun - 1)
-    rhs[: len(parts)] = np.concatenate([b.real, b[has_im].imag])
+    rhs[:n_data] = np.concatenate([bc.real, bc[off].imag])
 
     program = RealConicProgram.from_arrays(
         tuple(2 * w for w in psd_dims), free.shape[1], entries, rhs,
@@ -270,23 +337,27 @@ def assemble_hsos(p: CPOP, d: int, form: str) -> RelaxationArtifact:
             if not e
         ),
         program=program,
-        row_index={kp: r for r, kp in enumerate(parts)},
+        row_index={
+            **{(k, "re"): r - 1 for k, r in zip(re_keys, re_fun.tolist())},
+            **{(k, "im"): r - 1 for k, r in zip(re_keys, im_fun.tolist()) if r > 0},
+        },
     )
 
 
 def size_report(p: CPOP, d: int) -> dict[str, int]:
-    """Program sizes at order d, without materializing anything.
+    """Program sizes at order d, without building any data matrices.
 
     ``n_sdp`` is the realified moment-block dimension 2*omega and
-    ``m_dualview`` the exact row count omega^2 of the dual-view form.
-    ``m_naive`` counts the doubled form the way its bookkeeping is usually
-    quoted: a real and an imaginary row for every canonical pair plus
-    structural rows for one moment block and one localizing block per
-    constraint, i.e. 2w(w+1) + sum_i w_i(w_i+1).  The materialized naive
-    program instead drops the identically-zero diagonal imaginary rows and
+    ``m_dualview`` the omega^2 rows of the dual-view form, one per
+    canonical (key, part).  ``m_naive`` counts the doubled form the way
+    its bookkeeping is usually quoted: a real and an imaginary row for
+    every canonical pair plus structural rows for one moment block and one
+    localizing block per constraint, i.e. 2w(w+1) + sum_i w_i(w_i+1).  The
+    materialized naive program instead has one real row per key class and
+    one imaginary row per off-diagonal class (see ``_key_classes``) and
     gives equalities free multipliers, which need no structural rows, so
-    its true row count w^2 + w(w+1) + sum_{ge} w_i(w_i+1) is reported
-    separately as ``m_naive_assembled``.
+    its true row count, those rows plus w(w+1) + sum_{ge} w_i(w_i+1), is
+    reported separately as ``m_naive_assembled``.
     """
     _require_order(p, d)
     w = math.comb(p.s + d, d)
@@ -294,11 +365,12 @@ def size_report(p: CPOP, d: int) -> dict[str, int]:
         math.comb(p.s + d - di, d - di) for di in p.constraint_orders
     ]
     ge = [wi for wi, (_, kind) in zip(wis, p.constraints) if kind == "ge"]
+    _, off, _ = _key_classes(p, d)
     return {
         "n_sdp": 2 * w,
         "m_dualview": w * w,
         "m_naive": 2 * w * w + 2 * w + sum(wi * (wi + 1) for wi in wis),
-        "m_naive_assembled": w * w
+        "m_naive_assembled": len(off) + int(off.sum())
         + w * (w + 1)
         + sum(wi * (wi + 1) for wi in ge),
         "t": len(p.constraints),

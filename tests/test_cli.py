@@ -90,10 +90,10 @@ def test_relax_prints_counts_and_writes_sidecar(tmp_path, capsys, sphere_file):
     assert code == 0
     assert stdout.splitlines()[-1] == "n_sdp=42 m=441"
     sidecar = json.loads((tmp_path / "prob.dat-s.rows.json").read_text())
-    assert sidecar["version"] == 1
+    assert sidecar["version"] == 2
     assert sidecar["form"] == "dualview"
     assert len(sidecar["rows"]) == 441
-    assert all("beta" in r for r in sidecar["rows"])
+    assert all("beta" in r and "merged" not in r for r in sidecar["rows"])
 
     code, stdout, _ = run(
         capsys, "relax", "--in", str(sphere_file), "--d", "2", "--form",
@@ -108,6 +108,28 @@ def test_relax_prints_counts_and_writes_sidecar(tmp_path, capsys, sphere_file):
     assert len(sidecar["rows"]) == len(keyed) + len(structural)
     p = gen_sphere_instance(5, seed=1)
     assert len(sidecar["rows"]) == size_report(p, 2)["m_naive_assembled"]
+
+
+@pytest.mark.parametrize("form", ["dualview", "naive"])
+def test_relax_sidecar_names_every_merged_key_once(tmp_path, capsys, form):
+    prob, sdpa = tmp_path / "u.json", tmp_path / "u.dat-s"
+    assert main(["generate", "--family", "unitnorm", "--s", "2", "--seed", "0",
+                 "--out", str(prob)]) == 0
+    code, _, _ = run(capsys, "relax", "--in", str(prob), "--d", "2", "--form",
+                     form, "--out", str(sdpa))
+    assert code == 0
+    rows = json.loads((tmp_path / "u.dat-s.rows.json").read_text())["rows"]
+    named = [
+        (tuple(k["beta"]), tuple(k["gamma"]), r["part"])
+        for r in rows if "beta" in r
+        for k in [r] + r.get("merged", [])
+    ]
+    exps = realify.monomial_basis(2, 2).exponents
+    canonical = [(b, g) for i, b in enumerate(exps) for g in exps[i:]]
+    want = [(b, g, "re") for b, g in canonical]
+    want += [(b, g, "im") for b, g in canonical if b != g]
+    assert sorted(named) == sorted(want)
+    assert any("merged" in r for r in rows)
 
 
 def test_relax_below_minimum_order_cites_it(tmp_path, capsys, sphere_file):

@@ -209,12 +209,40 @@ def test_assembled_shapes_for_published_sphere_case():
     assert rep["m_naive_assembled"] == nv.program.n_rows
 
 
+SIZE_CASES = ((1, 2), (2, 2), (2, 3), (3, 2))
+
+
 def test_dualview_row_count_is_square_of_basis_size():
-    for s, d in ((1, 2), (2, 2), (2, 3), (3, 2)):
-        p = gen_unitnorm_instance(s, seed=s)
+    # for s >= 2 the sphere constraint is not binomial, so every key keeps
+    # its rows (for s = 1 it is the unit circle |z|^2 = 1)
+    for s, d in ((2, 2), (2, 3), (3, 2), (4, 2)):
+        p = gen_sphere_instance(s, seed=s)
         w = math.comb(s + d, d)
         art = assemble_hsos(p, d, "dualview")
         assert art.program.n_rows == w * w
+
+
+def test_unit_modulus_rows_are_key_classes():
+    # |z_i|^2 = 1 identifies the keys that differ by (e_i, e_i): unitnorm
+    # (4,2) has 131 real and imaginary class rows of its 225 (key, part)
+    # pairs, (3,3) has 147 of 400, and only the bound variable is free
+    for (s, d), (rows, w) in {(4, 2): (131, 15), (3, 3): (147, 20)}.items():
+        p = gen_unitnorm_instance(s, seed=1)
+        dv = assemble_hsos(p, d, "dualview")
+        nv = assemble_hsos(p, d, "naive")
+        assert dv.program.n_rows == rows
+        assert nv.program.n_rows == rows + w * (w + 1)
+        assert dv.program.n_free == nv.program.n_free == 1
+        assert len(dv.row_index) == w * w
+        assert set(dv.row_index.values()) == set(range(rows))
+
+
+@pytest.mark.parametrize("family", [gen_sphere_instance, gen_unitnorm_instance])
+def test_size_report_counts_the_assembled_naive_rows(family):
+    for s, d in SIZE_CASES:
+        p = family(s, seed=s)
+        nv = assemble_hsos(p, d, "naive")
+        assert size_report(p, d)["m_naive_assembled"] == nv.program.n_rows
 
 
 def test_bound_variable_enters_only_the_constant_real_row():
@@ -232,6 +260,16 @@ def test_bound_variable_enters_only_the_constant_real_row():
         assert art.program.rows[hits[0]].free[0] == (0, 1.0)
         assert art.program.objective.free == ((0, 1.0),)
         assert art.program.sense == "maximize"
+
+
+# 2 - |z1|^2 - |z2|^2 + c z1 conj(z2) + conj(c) conj(z1) z2, c complex.  The
+# generated families' constraints have real coefficients, which leave the
+# A_I quadrants of their localizing blocks empty.
+COUPLING = hermitian_poly(2, {
+    ((0, 0), (0, 0)): 2.0, ((1, 0), (1, 0)): -1.0, ((0, 1), (0, 1)): -1.0,
+    ((1, 0), (0, 1)): 0.3 + 0.4j,
+})
+SPHERE2 = gen_sphere_instance(2, seed=1)
 
 
 def random_hermitian(w, rng):
@@ -256,10 +294,12 @@ EMBED = {
 
 def test_data_rows_pair_every_block_with_its_hermitian_multiplier():
     # A PSD localizing block between two equalities, so both the block and
-    # the free-scalar numbering have to skip over the other kind.
-    u = gen_unitnorm_instance(3, seed=4)
-    (g0, _), (g1, _), (g2, _) = u.constraints
-    p = CPOP(s=3, f=u.f, constraints=((g0, "eq"), (g1, "ge"), (g2, "eq")))
+    # the free-scalar numbering have to skip over the other kind.  Neither
+    # equality is binomial, so each keeps its free H.
+    g1 = gen_unitnorm_instance(2, seed=4).constraints[1][0]
+    p = CPOP(s=2, f=SPHERE2.f, constraints=(
+        (COUPLING, "eq"), (g1, "ge"), (SPHERE2.constraints[0][0], "eq"),
+    ))
     data = build_data_matrices(p, 2)
     free_mult = [False, True, False, True]
     rng = np.random.default_rng(31)
@@ -271,7 +311,7 @@ def test_data_rows_pair_every_block_with_its_hermitian_multiplier():
     free = np.concatenate(
         [[lam]] + [free_coordinates(h) for h, f in zip(hs, free_mult) if f]
     )
-    zero_key = ((0, 0, 0), (0, 0, 0))
+    zero_key = ((0, 0), (0, 0))
     arts = {}
     for form, embed in EMBED.items():
         art = arts[form] = assemble_hsos(p, 2, form)
@@ -314,15 +354,66 @@ def _add_free_multiplier(acc, base, w, p, q, c, part) -> None:
         acc[imag] = acc.get(imag, 0.0) + sign * cq
 
 
-def entrywise_assembly(p, d, form):
-    """The relaxation program rebuilt row by row through dicts."""
+def _shift(e, by):
+    return tuple(x + y for x, y in zip(e, by))
+
+
+def binomial_classes(p, d, keys):
+    """The canonical keys grouped by the binomial equalities of p, each
+    class in key order and the classes in the order of their first key,
+    plus the indices of those equalities."""
+    pos = {key: k for k, key in enumerate(keys)}
+    parent = list(range(len(keys)))
+
+    def find(k):
+        while parent[k] != k:
+            k = parent[k]
+        return k
+
+    absorbed = set()
+    for src, ((g, kind), dg) in enumerate(zip(p.constraints, p.constraint_orders)):
+        if kind != "eq" or len(g.terms) != 2:
+            continue
+        ((mu, m2), c1), ((nu, n2), c2) = g.terms.items()
+        if mu != m2 or nu != n2 or c1 != -c2:
+            continue
+        absorbed.add(src)
+        loc = monomial_basis(p.s, d - dg).exponents
+        for a in loc:
+            for b in loc:
+                k1 = pos.get((_shift(a, mu), _shift(b, mu)))
+                k2 = pos.get((_shift(a, nu), _shift(b, nu)))
+                assert (k1 is None) == (k2 is None)
+                if k1 is not None:
+                    r1, r2 = find(k1), find(k2)
+                    parent[max(r1, r2)] = min(r1, r2)
+    classes: dict = {}
+    for k, key in enumerate(keys):
+        classes.setdefault(find(k), []).append(key)
+    return list(classes.values()), absorbed
+
+
+def entrywise_assembly(p, d, form, quotient=True):
+    """The relaxation program rebuilt row by row through dicts.
+
+    Each class row sums its keys' data entries and rhs values in key
+    order; the multiplier of a binomial equality must cancel within every
+    class row.  ``quotient=False`` keeps every key in its own row and
+    gives every equality its free multiplier.
+    """
     data = build_data_matrices(p, d)
     dims = data.block_dims
     exps = data.bases[0].exponents
     w0 = len(exps)
     zero_key = ((0,) * p.s, (0,) * p.s)
+    keys = [(exps[i], exps[j]) for i in range(w0) for j in range(i, w0)]
+    classes, absorbed = binomial_classes(p, d, keys)
+    if not quotient:
+        classes, absorbed = [[key] for key in keys], set()
     psd_of, free_of, n_free = {}, {}, 1
     for blk, (src, w) in enumerate(zip(data.sources, dims)):
+        if src in absorbed:
+            continue
         if src >= 0 and p.constraints[src][1] == "eq":
             free_of[blk] = n_free
             n_free += w * w
@@ -330,32 +421,37 @@ def entrywise_assembly(p, d, form):
             psd_of[blk] = len(psd_of)
     psd_dims = [dims[blk] for blk in psd_of]
 
-    def row(key, part, rhs):
+    def row(members, part):
         acc: dict = {}
-        free: dict = {0: 1.0} if (key, part) == (zero_key, "re") else {}
-        for blk, pb, qb, c in data.entries.get(key, ()):
-            if blk in psd_of:
-                ADDERS[form][part](
-                    acc, psd_of[blk], dims[blk], pb, qb, c.real, c.imag
-                )
-            else:
-                base = free_of[blk]
-                _add_free_multiplier(free, base, dims[blk], pb, qb, c, part)
+        free: dict = {}
+        cancel: dict = {}
+        for key in members:
+            if (key, part) == (zero_key, "re"):
+                free[0] = free.get(0, 0.0) + 1.0
+            for blk, pb, qb, c in data.entries.get(key, ()):
+                if blk in psd_of:
+                    ADDERS[form][part](
+                        acc, psd_of[blk], dims[blk], pb, qb, c.real, c.imag
+                    )
+                elif blk in free_of:
+                    base = free_of[blk]
+                    _add_free_multiplier(free, base, dims[blk], pb, qb, c, part)
+                else:
+                    cancel[blk, pb, qb] = cancel.get((blk, pb, qb), 0j) + c
+        assert all(c == 0 for c in cancel.values())
+        coef = complex(p.f.terms.get(members[0], 0j))
+        for key in members[1:]:
+            coef += complex(p.f.terms.get(key, 0j))
         return Row(
             entries=accumulate_entries(
                 (b, i, j, c) for (b, i, j), c in acc.items()
             ),
             free=accumulate_free(free.items()),
-            rhs=rhs,
+            rhs=coef.real if part == "re" else coef.imag,
         )
 
-    rows = []
-    for part, j0 in (("re", 0), ("im", 1)):
-        for i in range(w0):
-            for j in range(i + j0, w0):
-                key = (exps[i], exps[j])
-                b = complex(p.f.terms.get(key, 0j))
-                rows.append(row(key, part, b.real if part == "re" else b.imag))
+    rows = [row(members, "re") for members in classes]
+    rows += [row(m, "im") for m in classes if m[0][0] != m[0][1]]
     if form == "naive":
         for blk, w in enumerate(psd_dims):
             for triples in structural_constraints(w):
@@ -379,15 +475,6 @@ def recast(p, kinds):
         (g, kind) for (g, _), kind in zip(p.constraints, kinds)
     ))
 
-
-# 2 - |z1|^2 - |z2|^2 + c z1 conj(z2) + conj(c) conj(z1) z2, c complex.  The
-# generated families' constraints have real coefficients, which leave the
-# A_I quadrants of their localizing blocks empty.
-COUPLING = hermitian_poly(2, {
-    ((0, 0), (0, 0)): 2.0, ((1, 0), (1, 0)): -1.0, ((0, 1), (0, 1)): -1.0,
-    ((1, 0), (0, 1)): 0.3 + 0.4j,
-})
-SPHERE2 = gen_sphere_instance(2, seed=1)
 
 ORACLE_CASES = [
     (CPOP(s=2, f=SPHERE2.f, constraints=SPHERE2.constraints + (
@@ -413,6 +500,82 @@ def test_assembly_matches_the_entrywise_oracle(p, d, form):
     want = entrywise_assembly(p, d, form)
     assert got == want
     assert np.array_equal(float_bits(got), float_bits(want))
+
+
+def disk_recast(p):
+    (g0, _), (g1, _), (g2, _) = p.constraints
+    return CPOP(s=p.s, f=p.f, constraints=((g0, "eq"), (-g1, "ge"), (g2, "eq")))
+
+
+# sphere s=2 with |z1|^2 = |z2|^2 added: a binomial equality whose terms
+# are both of degree 2, next to the sphere's own non-binomial one
+BALANCED = hermitian_poly(2, {((1, 0), (1, 0)): 1.0, ((0, 1), (0, 1)): -1.0})
+
+QUOTIENT_CASES = [
+    (gen_unitnorm_instance(2, seed=1), 2),
+    (gen_unitnorm_instance(2, seed=1), 3),
+    (gen_unitnorm_instance(3, seed=1), 2),
+    (gen_unitnorm_instance(3, seed=1), 3),
+    # the (eq, ge, eq) recast with the disk 1 - |z2|^2 >= 0: as recast,
+    # |z2|^2 - 1 >= 0 leaves z2 unbounded and no form solves it
+    (disk_recast(gen_unitnorm_instance(3, seed=2)), 2),
+    (CPOP(s=2, f=SPHERE2.f, constraints=SPHERE2.constraints + (
+        (BALANCED, "eq"),
+    )), 2),
+]
+
+
+@pytest.mark.parametrize(
+    "p, d", QUOTIENT_CASES,
+    ids=["unitnorm2-d2", "unitnorm2-d3", "unitnorm3-d2", "unitnorm3-d3",
+         "eq-disk-eq", "sphere2-balanced"],
+)
+def test_quotient_keeps_the_optimum_and_the_binomial_identities(p, d):
+    full = solve(entrywise_assembly(p, d, "dualview", quotient=False), OPTS)
+    assert full.status == "optimal"
+    exps = monomial_basis(p.s, d).exponents
+    keys = [(b, g) for i, b in enumerate(exps) for g in exps[i:]]
+    _, absorbed = binomial_classes(p, d, keys)
+    assert absorbed
+    for form in ("dualview", "naive"):
+        art = assemble_hsos(p, d, form)
+        res = solve(art.program, OPTS)
+        assert res.status == "optimal"
+        assert abs(res.objective - full.objective) <= 1e-7 * abs(full.objective)
+        y = extract_moments(art, res)
+        for src in absorbed:
+            g = p.constraints[src][0]
+            (mu, _), (nu, _) = g.terms
+            loc = monomial_basis(p.s, d - p.constraint_orders[src]).exponents
+            for a in loc:
+                for b in loc:
+                    assert y[(_shift(a, mu), _shift(b, mu))] == y[
+                        (_shift(a, nu), _shift(b, nu))
+                    ]
+
+
+def test_only_binomial_equalities_lose_their_multiplier():
+    s, d = 2, 2
+    f = SPHERE2.f
+    one, z1 = ((0, 0), (0, 0)), ((1, 0), (1, 0))
+
+    def assembled(terms):
+        g = hermitian_poly(s, terms)
+        return assemble_hsos(CPOP(s=s, f=f, constraints=((g, "eq"),)), d, "dualview")
+
+    unit = assembled({z1: 1.0, one: -1.0}).program
+    assert unit.n_free == 1
+    # 2|z1|^2 - 2 = 0 identifies the same keys as |z1|^2 - 1 = 0
+    assert assembled({z1: 2.0, one: -2.0}).program == unit
+    # coefficients that do not cancel, or terms off the diagonal: the
+    # 3 x 3 multiplier stays, and every key keeps its rows
+    for terms in (
+        {z1: 1.0, one: -2.0},
+        {((1, 0), (0, 1)): 1j},  # i (z1 conj(z2) - conj(z1) z2)
+    ):
+        prog = assembled(terms).program
+        assert prog.n_free == 1 + 9
+        assert prog.n_rows == 36
 
 
 def test_row_rhs_matches_objective_coefficients():

@@ -9,12 +9,14 @@ import numpy as np
 import pytest
 
 from realify import (
+    CPOP,
+    CPolynomial,
     LinearFunctional,
     RealConicProgram,
     Row,
     SolverOptions,
     assemble_hsos,
-    gen_unitnorm_instance,
+    gen_sphere_instance,
     solve,
 )
 from realify.solver import _free_solver, _solve_sym, _Workspace
@@ -474,12 +476,18 @@ def test_free_solver_falls_back_on_an_exactly_singular_system():
 
 
 def test_presolve_reports_the_free_columns_it_removes():
-    # of the 301 free scalars of unitnorm (3,3), 254 are kept: the others
-    # enter no row or are linear combinations of kept ones
-    prog = assemble_hsos(gen_unitnorm_instance(3, 0), 3, "dualview").program
+    # sphere s=2 with a second, non-binomial equality
+    # |z1|^2 + 2|z2|^2 - 1.5 = 0 at order 3: of the 73 free scalars, 9 are
+    # linear combinations of kept ones
+    sphere = gen_sphere_instance(2, 0)
+    g = CPolynomial(2, {
+        ((1, 0), (1, 0)): 1.0, ((0, 1), (0, 1)): 2.0, ((0, 0), (0, 0)): -1.5,
+    })
+    p = CPOP(s=2, f=sphere.f, constraints=sphere.constraints + ((g, "eq"),))
+    prog = assemble_hsos(p, 3, "dualview").program
     res = solve(prog, SolverOptions(tol_gap=1e-7, tol_primal=1e-7, tol_dual=1e-7))
     assert res.status == "optimal"
-    assert prog.n_free == 301
-    assert len(res.presolve["dropped_free"]) == 47
+    assert prog.n_free == 73
+    assert len(res.presolve["dropped_free"]) == 9
     assert res.presolve["dropped_empty"] == res.presolve["dropped_dependent"] == []
     assert np.all(res.free_values[res.presolve["dropped_free"]] == 0.0)
