@@ -109,7 +109,9 @@ def cmd_relax(args) -> int:
         json.dump(sidecar, fh, indent=1)
         fh.write("\n")
 
-    print(f"n_sdp={rep['n_sdp']} m={rep['m_' + args.form]}")
+    print(
+        f"n_sdp={rep['n_sdp']} m={rep['m_' + args.form]} rows={art.program.n_rows}"
+    )
     return 0
 
 

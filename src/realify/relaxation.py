@@ -65,15 +65,6 @@ __all__ = [
 MomentKey = tuple[Exponent, Exponent]
 
 
-def _graded(e: Exponent) -> tuple[int, Exponent]:
-    return (sum(e), e)
-
-
-def _is_canonical(key: MomentKey) -> bool:
-    beta, gamma = key
-    return _graded(beta) <= _graded(gamma)
-
-
 def _require_order(p: CPOP, d: int) -> None:
     if d < p.d_min:
         raise ValueError(
@@ -394,7 +385,7 @@ def extract_moments(
     w = res.dual_row_values
     y: dict[MomentKey, complex] = {}
     for (key, part), rid in art.row_index.items():
-        if part != "re" or not _is_canonical(key):
+        if part != "re":
             continue
         beta, gamma = key
         if beta == gamma:

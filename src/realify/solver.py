@@ -9,9 +9,12 @@ Solves programs of the form
 using an infeasible-start path-following method: a predictor-corrector
 iteration on the symmetrized complementarity X S = mu I with the dual-scaled
 search direction, a dense Schur complement for the row multipliers, and the
-free scalars carried natively in an augmented Schur system.  Everything is
-deterministic: identical inputs and options reproduce identical iterates on
-a given platform.
+free scalars carried natively in an augmented Schur system.  Both systems of
+a step, the Schur matrix M and the free reduction F' M^-1 F, are factored by
+one rule, a Cholesky with escalating diagonal shift, and each solve is
+refined against the unshifted system.  Everything is deterministic:
+identical inputs and options reproduce identical iterates on a given
+platform.
 
 Designed for desk-scale problems (block dimension up to a few hundred, row
 counts in the low tens of thousands).  The Schur matrix is held dense but
@@ -39,22 +42,19 @@ _CHUNK = 2_097_152
 
 @dataclass(frozen=True)
 class SolverOptions:
-    """Termination tolerances and stepping controls.
+    """Termination tolerances and the iteration cap.
 
     tol_gap, tol_primal, tol_dual : normalized residual targets.  Realified
         programs carry structural rows that leave the optimal face
         degenerate; 1e-7 is a more realistic target for those than the
         defaults here.
-    max_iter      : iteration cap; exceeding it returns the best iterate.
-    step_fraction : cap on the fraction-to-boundary factor in (0, 1); the
-        factor itself adapts downward when steps get short.
+    max_iter : iteration cap; exceeding it returns the best iterate.
     """
 
     tol_gap: float = 1e-8
     tol_primal: float = 1e-8
     tol_dual: float = 1e-8
     max_iter: int = 200
-    step_fraction: float = 0.98
 
     def __post_init__(self) -> None:
         for name in ("tol_gap", "tol_primal", "tol_dual"):
@@ -62,8 +62,6 @@ class SolverOptions:
                 raise ValueError(f"{name} must be positive")
         if self.max_iter < 1:
             raise ValueError("max_iter must be at least 1")
-        if not 0.0 < self.step_fraction < 1.0:
-            raise ValueError("step_fraction must lie in (0, 1)")
 
 
 class _Workspace:
@@ -71,11 +69,12 @@ class _Workspace:
 
     Presolve drops structurally empty rows, rows that are exact linear
     combinations of earlier ones (rank detection on the normalized row Gram
-    via pivoted Cholesky; dependent but consistent rows would otherwise make
-    the Schur system singular and let the multipliers drift along its null
-    space), free scalars that appear in no surviving row, and free scalars
-    whose columns are linear combinations of earlier ones (the equality
-    multipliers of a moment relaxation carry such syzygies, g_j H_i = g_i H_j).
+    via pivoted Cholesky, the only factorization of that Gram; dependent but
+    consistent rows would otherwise make the Schur system singular and let
+    the multipliers drift along its null space), free scalars that appear in
+    no surviving row, and free scalars whose columns are linear combinations
+    of earlier ones (the equality multipliers of a moment relaxation carry
+    such syzygies, g_j H_i = g_i H_j).
     Dropped rows report a zero multiplier and are re-checked in the final
     residuals; dropped scalars are reported as zero.  Each block's rows are
     then split once, by stored entries, into the dense and sparse rows of the
@@ -121,27 +120,19 @@ class _Workspace:
             self.C.append((self.sign * Rb[0]).toarray().reshape(n, n))
             self.R.append(Rb[1 + self.active])
 
-        # Block part of the row Gram, sum_b R_b R_b'; the free part is added
-        # per use because the free columns change in between.
-        RR = np.zeros((self.m, self.m))
-        for Rb in self.R:
-            RR += (Rb @ Rb.T).toarray()
-
         self.dropped_dependent: list[int] = []
         if self.m >= 2:
-            _, piv, rank, info = sla.lapack.dpstrf(
-                _unit_diagonal_gram(RR, self.F)[0], tol=1e-10, lower=1,
-                overwrite_a=True,
-            )
-            if info >= 0 and rank < self.m:
-                keep = np.sort(piv[:rank] - 1)
+            G = np.zeros((self.m, self.m))
+            for Rb in self.R:
+                G += (Rb @ Rb.T).toarray()
+            keep = _independent(G + self.F @ self.F.T)
+            if keep.size < self.m:
                 self.dropped_dependent = np.delete(self.active, keep).tolist()
                 self.active = self.active[keep]
                 self.b = self.b[keep]
                 self.F = self.F[keep]
                 self.R = [Rb[keep] for Rb in self.R]
-                self.m = int(rank)
-                RR = RR[np.ix_(keep, keep)]
+                self.m = int(keep.size)
 
         cf_full = np.zeros(self.nf_total)
         cf_full[a.free_idx[:f0]] = self.sign * a.free_coef[:f0]
@@ -163,17 +154,6 @@ class _Workspace:
         self.cf = cf_full[self.free_idx]
         self.nf = int(self.free_idx.size)
         self._reduce_free_columns()
-
-        # Keep a factorization of the row Gram over the final row and
-        # column sets: directions recovered from the Schur solve are
-        # projected back onto the primal feasibility subsystem with it
-        # (see project_primal).
-        self.gram = None
-        self.gram_scale = None
-        if self.m:
-            Gn, self.gram_scale = _unit_diagonal_gram(RR, self.F)
-            self.gram = _factor_spd(Gn)
-        del RR
 
         # Rows with more than n stored entries are dense (densified per
         # chunk); the others keep left-aligned, zero-padded entry lists.
@@ -214,16 +194,9 @@ class _Workspace:
         """
         if self.nf < 2 or self.m == 0:
             return
-        Gc = self.F.T @ self.F
-        d = np.sqrt(np.diag(Gc))
-        d[d == 0.0] = 1.0
-        Gn = Gc / np.outer(d, d)
-        _, piv, rank, info = sla.lapack.dpstrf(
-            Gn, tol=1e-10, lower=1, overwrite_a=True
-        )
-        if info < 0 or rank >= self.nf:
+        kept = _independent(self.F.T @ self.F)
+        if kept.size == self.nf:
             return
-        kept = np.sort(piv[:rank] - 1)
         dropped = np.setdiff1d(np.arange(self.nf), kept)
         Fk = self.F[:, kept]
         Fd = self.F[:, dropped]
@@ -235,7 +208,7 @@ class _Workspace:
         self.free_idx = self.free_idx[kept]
         self.F = Fk
         self.cf = self.cf[kept]
-        self.nf = int(rank)
+        self.nf = int(kept.size)
 
     def apply(self, Xs, f):
         out = np.zeros(self.m)
@@ -247,38 +220,6 @@ class _Workspace:
 
     def apply_adjoint(self, y):
         return [(Rb.T @ y).reshape(n, n) for Rb, n in zip(self.R, self.sizes)]
-
-    def project_primal(self, Xs, f, target):
-        """Shift (Xs, f) by the least-norm correction with A(delta) = residual.
-
-        Directions reconstructed from the Schur complement pick up roundoff
-        proportional to ||X|| * ||S^-1||, which blows up on problems whose
-        optimal primal face is unbounded.  Solving the row Gram for the
-        feasibility defect and pulling it back through the adjoint removes
-        that error exactly (in exact arithmetic A o A* is the Gram).  The
-        correction mutates Xs in place; the free part is returned.
-        """
-        if self.gram is None or not self.m:
-            return f
-        err = target - self.apply(Xs, f)
-        scale = 1.0 + float(np.abs(target).max(initial=0.0))
-        if float(np.abs(err).max(initial=0.0)) <= 1e-14 * scale:
-            return f
-        d = self.gram_scale
-        w = sla.cho_solve(self.gram, err / d, check_finite=False) / d
-        # One refinement pass: the kept rows may still be nearly dependent
-        # at the presolve tolerance, and the defect is tiny to begin with.
-        r2 = err - self.apply_gram(w)
-        w += sla.cho_solve(self.gram, r2 / d, check_finite=False) / d
-        for b, n in enumerate(self.sizes):
-            B = (self.R[b].T @ w).reshape(n, n)
-            Xs[b] += 0.5 * (B + B.T)
-        if self.nf:
-            f = f + self.F.T @ w
-        return f
-
-    def apply_gram(self, w):
-        return self.apply(self.apply_adjoint(w), self.F.T @ w)
 
     def schur(self, Xs, Sinvs):
         """M[k, l] = sum_b <A_kb, X_b A_lb S_b^-1>.
@@ -327,17 +268,26 @@ def _add_block(M: np.ndarray, rows: np.ndarray, cols: np.ndarray, T) -> None:
     M[r, c] += T
 
 
-def _unit_diagonal_gram(RR: np.ndarray, F: np.ndarray):
-    """The row Gram RR + F F' scaled to unit diagonal, and the scale."""
-    G = RR + F @ F.T if F.shape[1] else RR.copy()
+def _independent(G: np.ndarray) -> np.ndarray:
+    """Sorted indices of a maximal independent set of a Gram's columns.
+
+    Pivoted Cholesky of G scaled to unit diagonal, with a relative rank
+    tolerance of 1e-10; G is overwritten.
+    """
     d = np.sqrt(np.diag(G))
     d[d == 0.0] = 1.0
     G /= np.outer(d, d)
-    return G, d
+    _, piv, rank, _ = sla.lapack.dpstrf(G, tol=1e-10, lower=1, overwrite_a=True)
+    return np.sort(piv[:rank] - 1)
 
 
 def _factor_spd(M: np.ndarray):
-    """Cholesky with escalating diagonal jitter for near-singular systems."""
+    """Cholesky with escalating diagonal jitter for near-singular systems.
+
+    The factor of M + shift I, for the first shift in 0, 1e-12, 1e-10, ...,
+    1e-4 (times the larger of 1 and M's largest diagonal entry) that
+    factors; None when none does.
+    """
     scale = max(float(M.diagonal().max(initial=0.0)), 1.0)
     jitter = 0.0
     for _ in range(6):
@@ -349,36 +299,6 @@ def _factor_spd(M: np.ndarray):
             if jitter > 1e-4 * scale:
                 break
     return None
-
-
-def _solve_sym(A: np.ndarray, B: np.ndarray) -> np.ndarray:
-    """Solve symmetric A x = B, tolerating (near-)singular A.
-
-    The free-variable reduction F' M^-1 F goes ill-conditioned like 1/mu^2
-    near an optimum; a graded diagonal shift keeps LAPACK happy and the
-    caller's iterative refinement restores the lost digits.
-    """
-    scale = max(float(np.abs(np.diag(A)).max(initial=0.0)), 1.0)
-    jitter = 0.0
-    for _ in range(8):
-        try:
-            Aj = A if jitter == 0.0 else A + jitter * np.eye(A.shape[0])
-            return np.linalg.solve(Aj, B)
-        except np.linalg.LinAlgError:
-            jitter = 1e-14 * scale if jitter == 0.0 else jitter * 100.0
-    return np.linalg.lstsq(A, B, rcond=None)[0]
-
-
-def _free_solver(H: np.ndarray):
-    """B -> H^-1 B from one LU of H, reused across right-hand sides.
-
-    An exactly zero pivot, where a fresh solve would raise, hands every
-    solve to _solve_sym and its graded diagonal shifts instead.
-    """
-    lu, piv, info = sla.lapack.dgetrf(H)
-    if info != 0:
-        return lambda B: _solve_sym(H, B)
-    return lambda B: sla.lu_solve((lu, piv), B, check_finite=False)
 
 
 def _max_step(P: np.ndarray, D: np.ndarray) -> float:
@@ -565,18 +485,22 @@ def solve(prog: RealConicProgram, options: SolverOptions | None = None) -> Solve
         if Mf is None:
             break
         if ws.nf:
+            # F' M^-1 F goes ill-conditioned like 1/mu^2 near an optimum;
+            # the shifted Cholesky and the refinement below absorb that.
             Gmat = sla.cho_solve(Mf, ws.F, check_finite=False)
-            solve_free = _free_solver(ws.F.T @ Gmat)
+            Hf = _factor_spd(ws.F.T @ Gmat)
+            if Hf is None:
+                break
 
         def solve_aug(h, g):
             # Block elimination on [[M, F], [F', 0]], plus iterative
             # refinement against the unfactored system (recovers the digits
-            # lost to any stabilizing shifts in the factorizations).
+            # lost to the stabilizing shifts in the factorizations).
             def once(h1, g1):
                 t1 = sla.cho_solve(Mf, h1, check_finite=False)
                 if ws.nf == 0:
                     return t1, np.zeros(0)
-                df = solve_free(ws.F.T @ t1 - g1)
+                df = sla.cho_solve(Hf, ws.F.T @ t1 - g1, check_finite=False)
                 return t1 - Gmat @ df, df
 
             dy, df = once(h, g)
@@ -606,7 +530,6 @@ def solve(prog: RealConicProgram, options: SolverOptions | None = None) -> Solve
                 _sym(V[b] + _sym(Xs[b] @ ATdy[b] @ Sinvs[b]))
                 for b in range(len(ws.sizes))
             ]
-            df = ws.project_primal(dX, df, rp)
             return dX, dS, dy, df
 
         def max_steps(dX, dS):
@@ -634,7 +557,7 @@ def solve(prog: RealConicProgram, options: SolverOptions | None = None) -> Solve
         # exponent) and step less aggressively.
         expo = max(1.0, 3.0 * min(ap, ad) ** 2)
         sigma = min(1.0, max((mu_aff / mu) ** expo if mu > 0 else 1.0, 1e-8))
-        gamma = min(opts.step_fraction, 0.9 + 0.09 * min(ap, ad))
+        gamma = min(0.98, 0.9 + 0.09 * min(ap, ad))
 
         extras = [dX_a[b] @ dS_a[b] for b in range(len(ws.sizes))]
         dX, dS, dy, df = direction(sigma * mu, extras)

@@ -88,7 +88,7 @@ def test_relax_prints_counts_and_writes_sidecar(tmp_path, capsys, sphere_file):
         "dualview", "--out", str(sdpa),
     )
     assert code == 0
-    assert stdout.splitlines()[-1] == "n_sdp=42 m=441"
+    assert stdout.splitlines()[-1] == "n_sdp=42 m=441 rows=441"
     sidecar = json.loads((tmp_path / "prob.dat-s.rows.json").read_text())
     assert sidecar["version"] == 2
     assert sidecar["form"] == "dualview"
@@ -100,7 +100,7 @@ def test_relax_prints_counts_and_writes_sidecar(tmp_path, capsys, sphere_file):
         "naive", "--out", str(sdpa),
     )
     assert code == 0
-    assert stdout.splitlines()[-1] == "n_sdp=42 m=966"
+    assert stdout.splitlines()[-1] == "n_sdp=42 m=966 rows=903"
     sidecar = json.loads((tmp_path / "prob.dat-s.rows.json").read_text())
     keyed = [r for r in sidecar["rows"] if "beta" in r]
     structural = [r for r in sidecar["rows"] if r.get("structural")]
@@ -115,10 +115,11 @@ def test_relax_sidecar_names_every_merged_key_once(tmp_path, capsys, form):
     prob, sdpa = tmp_path / "u.json", tmp_path / "u.dat-s"
     assert main(["generate", "--family", "unitnorm", "--s", "2", "--seed", "0",
                  "--out", str(prob)]) == 0
-    code, _, _ = run(capsys, "relax", "--in", str(prob), "--d", "2", "--form",
-                     form, "--out", str(sdpa))
+    code, stdout, _ = run(capsys, "relax", "--in", str(prob), "--d", "2",
+                          "--form", form, "--out", str(sdpa))
     assert code == 0
     rows = json.loads((tmp_path / "u.dat-s.rows.json").read_text())["rows"]
+    assert stdout.split()[-1] == f"rows={len(rows)}"
     named = [
         (tuple(k["beta"]), tuple(k["gamma"]), r["part"])
         for r in rows if "beta" in r

@@ -235,6 +235,19 @@ def test_dual_form_closes_the_gap():
         assert abs(rd.objective - rv.objective) <= 1e-5 * (1 + abs(rv.objective))
 
 
+def test_dual_form_pins_the_unused_imaginary_trace_multiplier():
+    # i A_0 = iI is skew-Hermitian, so Im(y_0), free scalar m, enters no
+    # row of the slack, and b_0 = tr(H0) is real, so it has no objective
+    # coefficient either: the presolve drops it and reports 0.
+    sdp, _ = planted_sdp(np.random.default_rng(17), 4, 6)
+    prog = reformulate_dual(sdp)
+    assert 6 not in prog.functionals.free_idx
+    rd = solve(prog, LOOSE)
+    assert rd.status == "optimal"
+    assert rd.presolve["dropped_free"] == [6]
+    assert rd.free_values[6] == 0.0
+
+
 def test_dual_form_with_hermitian_data():
     # Hermitian A_k zero out the imaginary multipliers' role; the program
     # must still assemble and solve (unused multipliers get pinned).
