@@ -370,18 +370,13 @@ def reformulate_dual(sdp: ComplexSDP) -> RealConicProgram:
     # The doubled matrix of sum_k y_k A_k is sum_k Re(y_k) L_k + Im(y_k) L'_k,
     # L_k the dual-view Re matrix of A_k and L'_k minus its Im matrix; the
     # row of key (p, q) takes minus the folded coefficient of each.
-    # cst is the doubled matrix of -C.
     k, p, q, re, im = _stacked(sdp, sdp.A)
     g = embed_entries(
         "dualview", {"re": k, "im": m + k}, 2 * m, dim, p, q, re, im, n
     )
     g.data *= np.where(g.indices < m, -1.0, 1.0)
     lin = g.T[iu * dim + ju]
-    cst = np.zeros((dim, dim))
-    cst[:n, :n] -= sdp.C.re
-    cst[n:, n:] -= sdp.C.re
-    cst[:n, n:] += sdp.C.im
-    cst[n:, :n] -= sdp.C.im
+    cst = -realify_psd(sdp.C)
 
     # row (p, q) holds X[p, q] itself and the free part of key (p, q); the
     # objective is Re(b).Re(y) - Im(b).Im(y), exact zeros dropped

@@ -22,7 +22,6 @@ from __future__ import annotations
 from collections import namedtuple
 from collections.abc import Sequence
 from dataclasses import dataclass, field
-from typing import Iterable
 
 import numpy as np
 
@@ -33,7 +32,6 @@ __all__ = [
     "Row",
     "RealConicProgram",
     "SolveResult",
-    "accumulate_entries",
 ]
 
 # (block, row, col, coefficient) with row <= col.
@@ -46,21 +44,6 @@ FreeEntry = tuple[int, float]
 Functionals = namedtuple(
     "Functionals", "indptr blk i j coef free_indptr free_idx free_coef"
 )
-
-
-def accumulate_entries(
-    raw: Iterable[tuple[int, int, int, float]],
-) -> tuple[BlockEntry, ...]:
-    """Merge duplicate (block, i, j) keys, order them, and drop exact zeros.
-
-    Keys with i > j are folded onto (j, i); the coefficient is unchanged
-    because the stored value already refers to the symmetric pair.
-    """
-    acc: dict[tuple[int, int, int], float] = {}
-    for b, i, j, c in raw:
-        key = (b, min(i, j), max(i, j))
-        acc[key] = acc.get(key, 0.0) + c
-    return tuple((*key, c) for key, c in sorted(acc.items()) if c != 0.0)
 
 
 def _stack(funs: Sequence["LinearFunctional"]) -> Functionals:
@@ -129,12 +112,6 @@ class _Rows(Sequence):
     def __getitem__(self, k: int) -> Row:
         k = range(len(self))[k]
         return Row(*self.prog._tuples(k + 1), rhs=float(self.prog.rhs[k]))
-
-    def __add__(self, other) -> tuple:
-        return tuple(self) + tuple(other)
-
-    def __radd__(self, other) -> tuple:
-        return tuple(other) + tuple(self)
 
 
 # What a block entry, then a free entry, reports for the first check it

@@ -22,10 +22,11 @@ Every other equality keeps its free H.
 Each PSD Hermitian block is then realified by complex_sdp's quadrant
 table, the rule the complex SDP reformulations use too: the doubled
 block with its structural rows ("naive") or the unstructured block whose
-functionals touch only X1+X2 and X3-X3' ("dualview").  All data entries
-go through that table in one array pass.  A free multiplier H = P + iQ
-needs no embedding: it enters both forms as the same w^2 free scalars,
-placed by index arithmetic.
+functionals touch only X1+X2 and X3-X3' ("dualview").  The data
+matrices are entry arrays on the basis index of each key; the key
+classes, the rows and that table's one array pass all read that index.
+A free multiplier H = P + iQ needs no embedding: it enters both forms as
+the same w^2 free scalars, placed by index arithmetic.
 
 The dual multipliers of the coefficient rows are exactly the moment
 sequence of the relaxation, which ``extract_moments`` reads off; the
@@ -35,6 +36,7 @@ keys of one class read the same row.
 from __future__ import annotations
 
 import math
+from collections import namedtuple
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -73,23 +75,27 @@ def _require_order(p: CPOP, d: int) -> None:
         )
 
 
+DataEntries = namedtuple("DataEntries", "row col blk pb qb coef")
+
+
 @dataclass(frozen=True)
 class DataMatrixSet:
     """Sparse data matrices of the order-d relaxation.
 
-    ``entries`` maps each arising moment key to the positions it touches:
-    tuples (block, row, col, complex coefficient).  Block 0 carries the
-    moment-matrix data (single unit entry per key); block i + 1 carries the
-    localizing data of constraint i.  ``sources`` indexes each block into
-    the CPOP constraint list, with -1 marking the moment block itself.
+    ``entries`` holds every data entry as arrays (row, col, blk, pb, qb,
+    coef): coefficient coef at position (pb, qb) of block blk in the matrix
+    of key (exponents[row], exponents[col]) of the degree-d basis
+    ``bases[0]``; both orientations of every key, ordered by (row, col,
+    blk, pb, qb).  Block 0 carries the moment-matrix data (single unit
+    entry per key); block i + 1 carries the localizing data of constraint
+    i.  ``sources`` indexes each block into the CPOP constraint list, with
+    -1 marking the moment block itself.
     """
 
     order: int
     bases: tuple[MonomialBasis, ...]
     sources: tuple[int, ...]
-    entries: dict[MomentKey, tuple[tuple[int, int, int, complex], ...]] = field(
-        compare=False
-    )
+    entries: DataEntries = field(compare=False)
 
     @property
     def block_dims(self) -> tuple[int, ...]:
@@ -101,9 +107,10 @@ def build_data_matrices(p: CPOP, d: int) -> DataMatrixSet:
 
     For a localizing polynomial g, position (beta', gamma') of block i
     receives g's coefficient at (beta'', gamma'') in the matrix for key
-    (beta' + beta'', gamma' + gamma''); colliding contributions accumulate.
-    A key escaping the degree-d index range means the constraint is too
-    high-degree for its block size and is rejected.
+    (beta' + beta'', gamma' + gamma'').  Distinct terms reach distinct keys,
+    so no position of one key's matrix is written twice.  A key escaping
+    the degree-d index range means the constraint is too high-degree for
+    its block size and is rejected.
     """
     _require_order(p, d)
     one = {((0,) * p.s, (0,) * p.s): 1.0 + 0j}
@@ -112,35 +119,29 @@ def build_data_matrices(p: CPOP, d: int) -> DataMatrixSet:
         for src, (g, _) in enumerate(p.constraints)
     ]
     bases = tuple(monomial_basis(p.s, d - di) for _, _, di in blocks)
-    acc: dict[MomentKey, dict[tuple[int, int, int], complex]] = {}
+    parts = []
     for blk, (_, terms, _) in enumerate(blocks):
         exps = bases[blk].exponents
-        for pb, bexp in enumerate(exps):
-            for qb, gexp in enumerate(exps):
-                for (b2, g2), c in terms.items():
-                    beta = tuple(x + y for x, y in zip(bexp, b2))
-                    gamma = tuple(x + y for x, y in zip(gexp, g2))
-                    if sum(beta) > d or sum(gamma) > d:
-                        raise ValueError(
-                            f"localizing term {(b2, g2)!r} pushes key "
-                            f"{(beta, gamma)!r} beyond degree {d}"
-                        )
-                    pos = (blk, pb, qb)
-                    bucket = acc.setdefault((beta, gamma), {})
-                    bucket[pos] = bucket.get(pos, 0j) + c
-    entries = {
-        key: tuple(
-            (blk, pb, qb, c)
-            for (blk, pb, qb), c in sorted(bucket.items())
-            if c != 0
-        )
-        for key, bucket in acc.items()
-    }
+        pb, qb = np.indices((len(exps), len(exps))).reshape(2, -1)
+        for (b2, g2), c in terms.items():
+            # the basis index of each exponent shifted by b2, then by g2
+            at = np.array([[
+                bases[0].index.get(tuple(x + y for x, y in zip(e, t)), -1)
+                for e in exps
+            ] for t in (b2, g2)])
+            if (at < 0).any():
+                raise ValueError(
+                    f"localizing term {(b2, g2)!r} pushes a key beyond degree {d}"
+                )
+            parts.append((at[0][pb], at[1][qb], np.full(pb.size, blk), pb, qb,
+                          np.full(pb.size, c)))
+    cols = [np.concatenate(x) for x in zip(*parts)]
+    order = np.lexsort(cols[4::-1])
     return DataMatrixSet(
         order=d,
         bases=bases,
         sources=tuple(src for src, _, _ in blocks),
-        entries=entries,
+        entries=DataEntries(*(x[order] for x in cols)),
     )
 
 
@@ -157,45 +158,39 @@ def moment_matrix(y, basis: MonomialBasis) -> HermitianMatrix:
     return HermitianMatrix.from_complex(z)
 
 
-def _key_classes(p: CPOP, d: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """Classes of the canonical keys (pairs i <= j of the degree-d basis,
-    row-major) that the binomial equalities identify, numbered in the order
-    of their first key; which classes are off-diagonal; which constraints
+def _key_classes(p: CPOP, data: DataMatrixSet) -> tuple[np.ndarray, ...]:
+    """The canonical index of each data entry's key (pairs i <= j of the
+    degree-d basis, row-major; -1 for i > j); the classes of the canonical
+    keys that the binomial equalities identify, numbered in the order of
+    their first key; which classes are off-diagonal; which constraints
     they absorb.
 
-    A binomial equality c (z^mu conj(z)^mu - z^nu conj(z)^nu) = 0 links
-    (a + mu, b + mu) to (a + nu, b + nu) at every position (a, b) of its
-    localizing block.  A shift by (mu, mu) keeps the graded order of a
-    pair, so canonical positions link canonical keys and no class mixes
-    diagonal and off-diagonal keys.
+    A binomial equality c (z^mu conj(z)^mu - z^nu conj(z)^nu) = 0 has
+    exactly two entries at each position (a, b) of its localizing block,
+    on (a + mu, b + mu) and (a + nu, b + nu), and links those two keys.
+    A shift by (mu, mu) keeps the graded order of a pair, so canonical
+    positions (a <= b) link canonical keys and no class mixes diagonal and
+    off-diagonal keys.
     """
-    basis = monomial_basis(p.s, d)
-    w = len(basis)
-    i, j = np.triu_indices(w)
+    e, w = data.entries, len(data.bases[0])
+    n = w * (w + 1) // 2
+    i, j = e.row, e.col
+    canon = np.where(i <= j, i * (2 * w - i + 1) // 2 + j - i, -1)
     absorbed = np.zeros(len(p.constraints), dtype=bool)
-    ends = [np.zeros(0, dtype=np.intp)] * 2
-    for k, ((g, kind), dk) in enumerate(zip(p.constraints, p.constraint_orders)):
-        if kind != "eq" or len(g.terms) != 2:
-            continue
-        ((mu, m2), c1), ((nu, n2), c2) = g.terms.items()
-        if mu != m2 or nu != n2 or c1 + c2 != 0:
-            continue
-        absorbed[k] = True
-        loc = monomial_basis(p.s, d - dk).exponents
-        a, b = np.triu_indices(len(loc))
-        for t, shift in enumerate((mu, nu)):
-            at = np.array([
-                basis.index[tuple(x + y for x, y in zip(e, shift))] for e in loc
-            ])
-            lo, hi = at[a], at[b]
-            ends[t] = np.concatenate([ends[t], lo * (2 * w - lo + 1) // 2 + hi - lo])
-    n = len(i)
-    links = sp.coo_matrix((np.ones(len(ends[0])), tuple(ends)), shape=(n, n))
+    for k, (g, kind) in enumerate(p.constraints):
+        if kind == "eq" and len(g.terms) == 2:
+            ((mu, m2), c1), ((nu, n2), c2) = g.terms.items()
+            absorbed[k] = mu == m2 and nu == n2 and c1 + c2 == 0
+    # the two entries of each canonical position of a binomial block
+    at = np.r_[False, absorbed][e.blk] & (e.pb <= e.qb)
+    ends = canon[at][np.lexsort((e.qb[at], e.pb[at], e.blk[at]))].reshape(-1, 2)
+    links = sp.coo_matrix((np.ones(len(ends)), tuple(ends.T)), shape=(n, n))
     _, comp = connected_components(links, directed=False)
     first = np.full(n, n)
     np.minimum.at(first, comp, np.arange(n))
     reps, cls = np.unique(first[comp], return_inverse=True)
-    return cls, i[reps] != j[reps], absorbed
+    i, j = np.triu_indices(w)
+    return canon, cls, i[reps] != j[reps], absorbed
 
 
 @dataclass(frozen=True)
@@ -242,9 +237,8 @@ def assemble_hsos(p: CPOP, d: int, form: str) -> RelaxationArtifact:
     data = build_data_matrices(p, d)
     dims = np.array(data.block_dims)
     exps = data.bases[0].exponents
-    w0 = len(exps)
-    re_keys = [(exps[i], exps[j]) for i in range(w0) for j in range(i, w0)]
-    cls, off, absorbed = _key_classes(p, d)
+    re_keys = [(b, g) for i, b in enumerate(exps) for g in exps[i:]]
+    canon, cls, off, absorbed = _key_classes(p, data)
     n_re = len(off)
     n_data = n_re + int(off.sum())
 
@@ -259,17 +253,15 @@ def assemble_hsos(p: CPOP, d: int, form: str) -> RelaxationArtifact:
     free_of = 1 + np.cumsum(sq) - sq
     psd_dims = dims[~is_eq].tolist()
 
-    # every data entry once, with the real and the imaginary row of its
-    # key's class; diagonal classes have no imaginary row (-1).
+    # the data entries of canonical keys, with the real and the imaginary
+    # row of their key's class; diagonal classes have no imaginary row (-1).
     # Functional 0 is the objective, so row r is functional r + 1.
-    ents = [data.entries.get(key, ()) for key in re_keys]
-    owner = np.repeat(np.arange(len(re_keys)), [len(e) for e in ents])
     re_fun = 1 + cls
     im_fun = np.where(off, n_re + np.cumsum(off), -1)[cls]
-    blk, pb, qb, c = map(np.array, zip(*(e for es in ents for e in es)))
-    kept = ~gone[blk]
-    blk, pb, qb, c, owner = (x[kept] for x in (blk, pb, qb, c, owner))
-    re_row, im_row = re_fun[owner], im_fun[owner]
+    e = data.entries
+    kept = (canon >= 0) & ~gone[e.blk]
+    blk, pb, qb, c, key = (x[kept] for x in (e.blk, e.pb, e.qb, e.coef, canon))
+    re_row, im_row = re_fun[key], im_fun[key]
 
     psd = ~is_eq[blk]
     size = 2 * max(psd_dims)
@@ -336,34 +328,27 @@ def assemble_hsos(p: CPOP, d: int, form: str) -> RelaxationArtifact:
 
 
 def size_report(p: CPOP, d: int) -> dict[str, int]:
-    """Program sizes at order d, without building any data matrices.
+    """The paper's program sizes at order d, from the basis sizes alone.
 
     ``n_sdp`` is the realified moment-block dimension 2*omega and
     ``m_dualview`` the omega^2 rows of the dual-view form, one per
     canonical (key, part).  ``m_naive`` counts the doubled form the way
     its bookkeeping is usually quoted: a real and an imaginary row for
     every canonical pair plus structural rows for one moment block and one
-    localizing block per constraint, i.e. 2w(w+1) + sum_i w_i(w_i+1).  The
-    materialized naive program instead has one real row per key class and
-    one imaginary row per off-diagonal class (see ``_key_classes``) and
-    gives equalities free multipliers, which need no structural rows, so
-    its true row count, those rows plus w(w+1) + sum_{ge} w_i(w_i+1), is
-    reported separately as ``m_naive_assembled``.
+    localizing block per constraint, i.e. 2w(w+1) + sum_i w_i(w_i+1).
+    The assembled programs are smaller: they quotient by the binomial
+    equalities and give the other equalities free multipliers (see
+    ``assemble_hsos``); ``program.n_rows`` is their row count.
     """
     _require_order(p, d)
     w = math.comb(p.s + d, d)
     wis = [
         math.comb(p.s + d - di, d - di) for di in p.constraint_orders
     ]
-    ge = [wi for wi, (_, kind) in zip(wis, p.constraints) if kind == "ge"]
-    _, off, _ = _key_classes(p, d)
     return {
         "n_sdp": 2 * w,
         "m_dualview": w * w,
         "m_naive": 2 * w * w + 2 * w + sum(wi * (wi + 1) for wi in wis),
-        "m_naive_assembled": len(off) + int(off.sum())
-        + w * (w + 1)
-        + sum(wi * (wi + 1) for wi in ge),
         "t": len(p.constraints),
     }
 

@@ -11,6 +11,29 @@ require the two to agree to the bit.
 import numpy as np
 
 
+def entries_by_key(data):
+    """The data entries of a ``DataMatrixSet`` as
+    {(beta, gamma): ((blk, pb, qb, c), ...)}, each key's in stored order."""
+    exps = data.bases[0].exponents
+    out = {}
+    for r, c, *entry in zip(*(x.tolist() for x in data.entries)):
+        out.setdefault((exps[r], exps[c]), []).append(tuple(entry))
+    return {key: tuple(ents) for key, ents in out.items()}
+
+
+def accumulate_entries(raw):
+    """Merge duplicate (block, i, j) keys, order them, and drop exact zeros.
+
+    Keys with i > j are folded onto (j, i); the coefficient is unchanged
+    because the stored value already refers to the symmetric pair.
+    """
+    acc = {}
+    for b, i, j, c in raw:
+        key = (b, min(i, j), max(i, j))
+        acc[key] = acc.get(key, 0.0) + c
+    return tuple((*key, c) for key, c in sorted(acc.items()) if c != 0.0)
+
+
 def accumulate_free(raw):
     """Merge duplicate free indices, order them, and drop exact zeros."""
     acc = {}
@@ -66,7 +89,7 @@ ADDERS = {
 def float_bits(prog):
     """Every number of a program, as the bits of a float64."""
     out = []
-    for fun in (prog.objective,) + prog.rows:
+    for fun in (prog.objective,) + tuple(prog.rows):
         for entry in fun.entries + fun.free:
             out.extend(entry)
         out.append(getattr(fun, "rhs", 0.0))

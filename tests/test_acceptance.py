@@ -22,12 +22,7 @@ from realify.complex_sdp import (
     reformulate_primal_dualview,
 )
 from realify.polynomials import gen_sphere_instance, gen_unitnorm_instance
-from realify.program import (
-    LinearFunctional,
-    RealConicProgram,
-    Row,
-    accumulate_entries,
-)
+from realify.program import LinearFunctional, RealConicProgram, Row
 from realify.relaxation import assemble_hsos, build_data_matrices, size_report
 from realify.sdpa import export_sdpa, import_sdpa
 from realify.solver import SolverOptions, solve
@@ -37,7 +32,11 @@ from realify.validation import (
     sample_upper_bound,
 )
 
-from entrywise_oracle import add_dualview_imag
+from entrywise_oracle import (
+    accumulate_entries,
+    add_dualview_imag,
+    entries_by_key,
+)
 
 OPTS = SolverOptions(tol_gap=1e-7, tol_primal=1e-7, tol_dual=1e-7)
 DATA = Path(__file__).parent / "data"
@@ -192,10 +191,11 @@ def test_criterion_4_redundancy(capsys):
             complex_instances += 1
         data = build_data_matrices(p, 2)
         dims = data.block_dims
+        ents = entries_by_key(data)
         funs = []
         for beta in data.bases[0].exponents:
             acc = {}
-            for blk, pb, qb, c in data.entries.get((beta, beta), ()):
+            for blk, pb, qb, c in ents.get((beta, beta), ()):
                 add_dualview_imag(acc, blk, dims[blk], pb, qb, c.real, c.imag)
             funs.append(
                 accumulate_entries((b, i, j, c) for (b, i, j), c in acc.items())

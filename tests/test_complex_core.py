@@ -28,9 +28,9 @@ from realify import (
     structural_constraints,
     solve,
 )
-from realify.program import accumulate_entries
 
 from entrywise_oracle import (
+    accumulate_entries,
     accumulate_free,
     add_dualview_imag,
     add_dualview_real,

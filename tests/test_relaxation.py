@@ -6,12 +6,7 @@ import numpy as np
 import pytest
 
 from realify.complex_sdp import structural_constraints
-from realify.program import (
-    LinearFunctional,
-    RealConicProgram,
-    Row,
-    accumulate_entries,
-)
+from realify.program import LinearFunctional, RealConicProgram, Row
 from realify.polynomials import (
     CPOP,
     CPolynomial,
@@ -30,9 +25,11 @@ from realify.solver import SolverOptions, solve
 
 from entrywise_oracle import (
     ADDERS,
+    accumulate_entries,
     accumulate_free,
     add_dualview_imag,
     add_naive_imag,
+    entries_by_key,
     float_bits,
 )
 
@@ -73,10 +70,11 @@ def test_moment_block_entries_are_elementary():
     p = gen_sphere_instance(2, seed=3)
     d = 2
     data = build_data_matrices(p, d)
+    ents = entries_by_key(data)
     basis = data.bases[0]
     for i, beta in enumerate(basis.exponents):
         for j, gamma in enumerate(basis.exponents):
-            hits = [e for e in data.entries[(beta, gamma)] if e[0] == 0]
+            hits = [e for e in ents[(beta, gamma)] if e[0] == 0]
             assert hits == [(0, i, j, 1.0 + 0j)]
 
 
@@ -90,46 +88,15 @@ def test_localizing_entries_analytic_univariate():
     data = build_data_matrices(p, 1)
     assert data.block_dims == (2, 1)
     assert data.sources == (-1, 0)
+    ents = entries_by_key(data)
 
     def block1(key):
-        return [e for e in data.entries.get(key, ()) if e[0] == 1]
+        return [e for e in ents.get(key, ()) if e[0] == 1]
 
     assert block1(((0,), (0,))) == [(1, 0, 0, 1 + 0j)]
     assert block1(((1,), (1,))) == [(1, 0, 0, -1 + 0j)]
     assert block1(((1,), (0,))) == []
     assert block1(((0,), (1,))) == []
-
-
-def test_localizing_matrix_reconstruction_oracle():
-    # sum_key A^i_key y_key must equal the directly computed localizing
-    # matrix [sum_t g_t y_{b'+b'', g'+g''}] for any conjugate-symmetric y.
-    rng = np.random.default_rng(11)
-    p = gen_unitnorm_instance(2, seed=5)
-    d = 2
-    data = build_data_matrices(p, d)
-    y = random_conjugate_symmetric_moments(p.s, d, rng)
-
-    polys = [None] + [g for g, _ in p.constraints]
-
-    for blk in range(1, len(data.bases)):
-        exps = data.bases[blk].exponents
-        w = len(exps)
-        direct = np.zeros((w, w), dtype=complex)
-        terms = polys[blk].terms
-        for a, bexp in enumerate(exps):
-            for b, gexp in enumerate(exps):
-                for (b2, g2), c in terms.items():
-                    key = (
-                        tuple(x + u for x, u in zip(bexp, b2)),
-                        tuple(x + u for x, u in zip(gexp, g2)),
-                    )
-                    direct[a, b] += c * y[key]
-        summed = np.zeros((w, w), dtype=complex)
-        for key, ents in data.entries.items():
-            for eb, i, j, c in ents:
-                if eb == blk:
-                    summed[i, j] += c * y[key]
-        assert np.max(np.abs(summed - direct)) <= 1e-12 * (1 + np.max(np.abs(direct)))
 
 
 def test_overweight_localizing_term_is_rejected():
@@ -206,10 +173,6 @@ def test_assembled_shapes_for_published_sphere_case():
     assert nv.program.n_rows == 903
     rep = size_report(p, 2)
     assert rep["m_dualview"] == dv.program.n_rows
-    assert rep["m_naive_assembled"] == nv.program.n_rows
-
-
-SIZE_CASES = ((1, 2), (2, 2), (2, 3), (3, 2))
 
 
 def test_dualview_row_count_is_square_of_basis_size():
@@ -235,14 +198,6 @@ def test_unit_modulus_rows_are_key_classes():
         assert dv.program.n_free == nv.program.n_free == 1
         assert len(dv.row_index) == w * w
         assert set(dv.row_index.values()) == set(range(rows))
-
-
-@pytest.mark.parametrize("family", [gen_sphere_instance, gen_unitnorm_instance])
-def test_size_report_counts_the_assembled_naive_rows(family):
-    for s, d in SIZE_CASES:
-        p = family(s, seed=s)
-        nv = assemble_hsos(p, d, "naive")
-        assert size_report(p, d)["m_naive_assembled"] == nv.program.n_rows
 
 
 def test_bound_variable_enters_only_the_constant_real_row():
@@ -301,6 +256,7 @@ def test_data_rows_pair_every_block_with_its_hermitian_multiplier():
         (COUPLING, "eq"), (g1, "ge"), (SPHERE2.constraints[0][0], "eq"),
     ))
     data = build_data_matrices(p, 2)
+    ents = entries_by_key(data)
     free_mult = [False, True, False, True]
     rng = np.random.default_rng(31)
     hs = []
@@ -320,7 +276,7 @@ def test_data_rows_pair_every_block_with_its_hermitian_multiplier():
         assert prog.n_free == free.size
         blocks = [embed(h) for h, f in zip(hs, free_mult) if not f]
         for (key, part), rid in art.row_index.items():
-            z = sum(c * hs[blk][i, j] for blk, i, j, c in data.entries[key])
+            z = sum(c * hs[blk][i, j] for blk, i, j, c in ents[key])
             if key == zero_key:
                 z += lam
             want = z.real if part == "re" else z.imag
@@ -402,6 +358,7 @@ def entrywise_assembly(p, d, form, quotient=True):
     gives every equality its free multiplier.
     """
     data = build_data_matrices(p, d)
+    ents = entries_by_key(data)
     dims = data.block_dims
     exps = data.bases[0].exponents
     w0 = len(exps)
@@ -428,7 +385,7 @@ def entrywise_assembly(p, d, form, quotient=True):
         for key in members:
             if (key, part) == (zero_key, "re"):
                 free[0] = free.get(0, 0.0) + 1.0
-            for blk, pb, qb, c in data.entries.get(key, ()):
+            for blk, pb, qb, c in ents.get(key, ()):
                 if blk in psd_of:
                     ADDERS[form][part](
                         acc, psd_of[blk], dims[blk], pb, qb, c.real, c.imag
@@ -489,17 +446,58 @@ ORACLE_CASES = [
 ]
 
 
-@pytest.mark.parametrize(
-    "p, d", ORACLE_CASES,
-    ids=["complex-ge-eq", "sphere2-d2", "sphere2-d3", "unitnorm3-d2",
-         "unitnorm3-d3", "eq-ge-eq", "all-ge"],
-)
+ORACLE_IDS = ["complex-ge-eq", "sphere2-d2", "sphere2-d3", "unitnorm3-d2",
+              "unitnorm3-d3", "eq-ge-eq", "all-ge"]
+
+
+@pytest.mark.parametrize("p, d", ORACLE_CASES, ids=ORACLE_IDS)
 @pytest.mark.parametrize("form", ["dualview", "naive"])
 def test_assembly_matches_the_entrywise_oracle(p, d, form):
     got = assemble_hsos(p, d, form).program
     want = entrywise_assembly(p, d, form)
     assert got == want
     assert np.array_equal(float_bits(got), float_bits(want))
+
+
+@pytest.mark.parametrize("p, d", ORACLE_CASES, ids=ORACLE_IDS)
+def test_localizing_matrix_reconstruction_oracle(p, d):
+    # sum_key A^i_key y_key must equal the directly computed moment or
+    # localizing matrix [sum_t g_t y_{b'+b'', g'+g''}] for any
+    # conjugate-symmetric y.
+    rng = np.random.default_rng(11)
+    data = build_data_matrices(p, d)
+    ents = entries_by_key(data)
+    y = random_conjugate_symmetric_moments(p.s, d, rng)
+
+    zero = (0,) * p.s
+    polys = [{(zero, zero): 1.0}] + [g.terms for g, _ in p.constraints]
+
+    for blk, terms in enumerate(polys):
+        exps = data.bases[blk].exponents
+        w = len(exps)
+        direct = np.zeros((w, w), dtype=complex)
+        for a, bexp in enumerate(exps):
+            for b, gexp in enumerate(exps):
+                for (b2, g2), c in terms.items():
+                    key = (
+                        tuple(x + u for x, u in zip(bexp, b2)),
+                        tuple(x + u for x, u in zip(gexp, g2)),
+                    )
+                    direct[a, b] += c * y[key]
+        summed = np.zeros((w, w), dtype=complex)
+        for key, es in ents.items():
+            for eb, i, j, c in es:
+                if eb == blk:
+                    summed[i, j] += c * y[key]
+        assert np.max(np.abs(summed - direct)) <= 1e-12 * (1 + np.max(np.abs(direct)))
+
+
+def test_data_entries_are_ordered_by_key_then_position():
+    # one entry per (key, position), in (row, col, blk, pb, qb) order
+    for p, d in ORACLE_CASES:
+        e = build_data_matrices(p, d).entries
+        at = list(zip(*(x.tolist() for x in e[:5])))
+        assert at == sorted(set(at))
 
 
 def disk_recast(p):
@@ -616,11 +614,12 @@ def evaluate_entries(entries, Xs):
 
 def diagonal_imag_functionals(p, d, adder):
     data = build_data_matrices(p, d)
+    ents = entries_by_key(data)
     dims = data.block_dims
     out = []
     for beta in data.bases[0].exponents:
         acc = {}
-        for blk, pb, qb, c in data.entries.get((beta, beta), ()):
+        for blk, pb, qb, c in ents.get((beta, beta), ()):
             adder(acc, blk, dims[blk], pb, qb, c.real, c.imag)
         out.append(
             accumulate_entries((b, i, j, c) for (b, i, j), c in acc.items())
@@ -678,13 +677,13 @@ def test_mirrored_key_carries_the_conjugate_transposed_data():
     # the kept rows: Re and Im of <A_(g,b), H> = conj(<A_(b,g), H>) for
     # every Hermitian H.
     for p in (gen_sphere_instance(2, seed=4), gen_unitnorm_instance(2, seed=2)):
-        data = build_data_matrices(p, 2)
-        assert data.entries
-        for (beta, gamma), ents in data.entries.items():
+        ents = entries_by_key(build_data_matrices(p, 2))
+        assert ents
+        for (beta, gamma), es in ents.items():
             mirrored = sorted(
-                (blk, j, i, c.conjugate()) for blk, i, j, c in ents
+                (blk, j, i, c.conjugate()) for blk, i, j, c in es
             )
-            assert data.entries[(gamma, beta)] == tuple(mirrored)
+            assert ents[(gamma, beta)] == tuple(mirrored)
 
 
 # ---------------------------------------------------------------- size report

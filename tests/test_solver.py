@@ -273,7 +273,7 @@ def test_duplicated_row_matches_single_row_solution():
     doubled = RealConicProgram(
         psd_blocks=base.psd_blocks,
         n_free=0,
-        rows=base.rows + base.rows,
+        rows=tuple(base.rows) * 2,
         objective=base.objective,
         sense="maximize",
     )
@@ -293,7 +293,7 @@ def test_contradictory_duplicate_row_is_infeasible():
     clash = RealConicProgram(
         psd_blocks=base.psd_blocks,
         n_free=0,
-        rows=base.rows + (
+        rows=tuple(base.rows) + (
             Row(entries=((0, 0, 0, 1.0), (0, 1, 1, 1.0)), rhs=2.0),
         ),
         objective=base.objective,
