@@ -361,7 +361,9 @@ def reformulate_dual(sdp: ComplexSDP) -> RealConicProgram:
     that affine expression is the quadratic-form one, so Z matches its
     symmetric part; when the A_k are not Hermitian this leaves the skew
     part unconstrained, which is exactly what Lagrangian duality against
-    Hermitian-matrix variables asks for.
+    Hermitian-matrix variables asks for.  Each row pins one slack entry,
+    so the program is in LMI form, and ``solve`` runs it through its
+    standard-form dual: one row per free scalar and no free scalars.
     """
     n, m = sdp.n, sdp.m
     dim = 2 * n

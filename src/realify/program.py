@@ -262,7 +262,10 @@ class SolveResult:
     program, sum_k rhs_k * dual_row_values[k] equals the objective.
     ``presolve`` lists, by index, what presolve took out: structurally
     empty rows ("dropped_empty"), rows dependent on earlier ones
-    ("dropped_dependent") and free scalars fixed at zero ("dropped_free").
+    ("dropped_dependent") and free scalars fixed at zero ("dropped_free"),
+    and the PSD blocks solved through the standard-form dual of a program
+    in LMI form ("dualized": every block, or none); there the dropped
+    scalars are the dual's dropped rows.
     """
 
     status: str

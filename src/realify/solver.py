@@ -21,6 +21,11 @@ counts in the low tens of thousands).  The Schur matrix is held dense but
 assembled by row sparsity: a row with more than n stored entries in an n x n
 block goes through BLAS products, any other row through outer products of
 its entries (Fujisawa, Kojima and Nakata, Math. Prog. 79, 1997).
+
+A program whose rows pin every block entry once, a linear matrix inequality
+in its free scalars such as ``reformulate_dual`` builds, is solved through
+its standard-form dual, which has one row per free scalar and none free
+(Kobayashi, Nakata and Kojima, Comput. Optim. Appl. 36, 2007).
 """
 
 from __future__ import annotations
@@ -97,7 +102,6 @@ class _Workspace:
         self.active = np.flatnonzero(~empty)
         self.m = self.active.size
         self.b = prog.rhs[~empty]
-        self.rhs_scale = 1.0 + float(np.abs(prog.rhs).max(initial=0.0))
 
         # each free entry's position among the active rows; the objective's
         # f0 free entries come first
@@ -316,6 +320,23 @@ def _sym(A: np.ndarray) -> np.ndarray:
     return 0.5 * (A + A.T)
 
 
+def _finish(prog, opts, status, Xs, f_full, dual, res, iters, presolve) -> SolveResult:
+    """SolveResult of ``prog``, its residuals rechecked over every row; a
+    presolved-away row the solution misses demotes "optimal" to "infeasible"."""
+    blocks = tuple(_sym(X) for X in Xs)
+    res = dict(res)
+    if prog.n_rows:
+        resid = prog.row_residuals(blocks, f_full)
+        full_p = float(np.abs(resid).max()) / (1.0 + float(np.abs(prog.rhs).max()))
+        res["primal_inf"] = full_p
+        if status == "optimal" and full_p > 10.0 * opts.tol_primal:
+            status = "infeasible"
+    return SolveResult(
+        status, prog.objective.value(blocks, f_full), blocks, f_full, dual, res,
+        iters, presolve,
+    )
+
+
 def solve(prog: RealConicProgram, options: SolverOptions | None = None) -> SolveResult:
     """Solve a carrier program; see the module docstring for the method.
 
@@ -325,40 +346,94 @@ def solve(prog: RealConicProgram, options: SolverOptions | None = None) -> Solve
     a breakdown; "max_iter" exhaustion, with the best iterate found.
     """
     opts = options or SolverOptions()
+    lmi = _lmi_dual(prog)
+    if lmi is None:
+        return _solve_direct(prog, opts)
+    dual, (blk, i, j, coef, z, G, c0) = lmi
+    r = _solve_direct(dual, opts)
+    # f is D's row multipliers, X = Z0 - sum_j f_j G_j, and the row duals y
+    # make C - A*(y) D's block Y (A*(y) - C for maximize)
+    f, res = r.dual_row_values, r.residuals
+    x, y = z - G @ f, c0.copy()
+    sign = -1.0 if prog.sense == "maximize" else 1.0
+    Xs = [np.zeros((n, n)) for n in prog.psd_blocks]
+    for b, (X, Y) in enumerate(zip(Xs, r.primal_blocks)):
+        k = np.flatnonzero(blk == b)
+        X[i[k], j[k]] = X[j[k], i[k]] = x[k]
+        y[k] -= sign * Y[i[k], j[k]]
+    dropped = r.presolve["dropped_empty"] + r.presolve["dropped_dependent"]
+    return _finish(
+        prog, opts, r.status, Xs, f, y / coef,
+        dict(res, primal_inf=res["dual_inf"], dual_inf=res["primal_inf"]),
+        r.iterations, dict(
+            dropped_empty=[], dropped_dependent=[], dropped_free=sorted(dropped),
+            dualized=list(range(len(prog.psd_blocks))),
+        ),
+    )
+
+
+def _lmi_dual(prog: RealConicProgram):
+    """D and each row's (blk, i, j, coef, Z0, G, C) in LMI form; else None.
+
+    In LMI form every key (block, i, j) is pinned by one row, which holds
+    it alone with a nonzero coefficient: X[i,j] = (rhs_k - F[k,:] f) / w_k,
+    w_k the coefficient on the diagonal and twice that off it.  So X = Z0 -
+    sum_j f_j G_j, and the objective is <C, Z0> + c~.f, c~_j = cf_j - <C, G_j>.
+    D is min <Z0, Y> over the same blocks s.t. <G_j, Y> = -c~_j (c~_j for
+    maximize); its row multipliers are f.
+    """
+    a, sizes = prog.functionals, np.array(prog.psd_blocks, dtype=np.intp)
+    e0 = a.indptr[1]
+    if (
+        prog.n_rows == 0 or prog.n_rows != int((sizes * (sizes + 1) // 2).sum())
+        or np.any(np.diff(a.indptr)[1:] != 1) or np.any(a.coef[e0:] == 0.0)
+    ):
+        return None
+    off = np.r_[0, np.cumsum(sizes * sizes)]
+    key = off[a.blk] + a.i * sizes[a.blk] + a.j
+    if np.bincount(key[e0:]).max() > 1:
+        return None
+    # the objective's block coefficient at each row's key
+    c0 = np.zeros(off[-1])
+    c0[key[:e0]] = a.coef[:e0]
+    c0 = c0[key[e0:]]
+    blk, i, j, coef = a.blk[e0:], a.i[e0:], a.j[e0:], a.coef[e0:]
+    mirrors = np.where(i == j, 1.0, 2.0)
+    w = mirrors * coef
+    f0 = a.free_indptr[1]
+    at = np.repeat(np.arange(prog.n_rows), np.diff(a.free_indptr)[1:])
+    G = sp.csr_matrix(
+        (a.free_coef[f0:] / w[at], (at, a.free_idx[f0:])),
+        shape=(prog.n_rows, prog.n_free),
+    )
+    ct = -G.T @ (mirrors * c0)
+    ct[a.free_idx[:f0]] += a.free_coef[:f0]
+    z, Gt = prog.rhs / w, G.T.tocsr()
+    at = np.r_[np.arange(prog.n_rows), Gt.indices]
+    dual = RealConicProgram.from_arrays(
+        prog.psd_blocks, 0,
+        (np.r_[prog.n_rows, np.diff(Gt.indptr)], blk[at], i[at], j[at],
+         np.r_[z, Gt.data]),
+        ct if prog.sense == "maximize" else -ct, sense="minimize",
+    )
+    return dual, (blk, i, j, coef, z, G, c0)
+
+
+def _solve_direct(prog: RealConicProgram, opts: SolverOptions) -> SolveResult:
+    """Run the interior-point method on ``prog`` itself."""
     ws = _Workspace(prog)
 
     def finish(status, Xs, f, y, res, iters):
         full_dual = np.zeros(prog.n_rows)
         if y is not None and ws.m:
             full_dual[ws.active] = -y if prog.sense == "maximize" else y
-        blocks = tuple(_sym(X) for X in Xs)
         f_full = np.zeros(prog.n_free)
-        if ws.nf:
-            f_full[ws.free_idx] = f
-        # Residuals over every original row, the dropped ones included; a
-        # presolved-away row that the solution does not satisfy means the
-        # dropped rows were inconsistent with the kept ones.
-        res = dict(res)
-        if prog.n_rows:
-            resid = prog.row_residuals(blocks, f_full)
-            full_p = float(np.abs(resid).max()) / ws.rhs_scale
-            res["primal_inf"] = full_p
-            if status == "optimal" and full_p > 10.0 * opts.tol_primal:
-                status = "infeasible"
-        obj = prog.objective.value(blocks, f_full)
-        return SolveResult(
-            status=status,
-            objective=obj,
-            primal_blocks=blocks,
-            free_values=f_full,
-            dual_row_values=full_dual,
-            residuals=res,
-            iterations=iters,
-            presolve=dict(
-                dropped_empty=ws.dropped_empty, dropped_dependent=ws.dropped_dependent,
-                dropped_free=np.delete(np.arange(prog.n_free), ws.free_idx).tolist(),
-            ),
-        )
+        f_full[ws.free_idx] = f
+        return _finish(prog, opts, status, Xs, f_full, full_dual, res, iters, dict(
+            dropped_empty=ws.dropped_empty, dropped_dependent=ws.dropped_dependent,
+            dropped_free=np.delete(np.arange(prog.n_free), ws.free_idx).tolist(),
+            dualized=[],
+        ))
 
     zero_blocks = [np.zeros((n, n)) for n in ws.sizes]
     zero_free = np.zeros(ws.nf)

@@ -186,7 +186,7 @@ def test_solve_writes_result_and_checks_sample(tmp_path, capsys):
     }
     assert data["objective"] == float(lines[1].split("=", 1)[1])
     assert set(data["presolve"]) == {
-        "dropped_empty", "dropped_dependent", "dropped_free"
+        "dropped_empty", "dropped_dependent", "dropped_free", "dualized"
     }
     assert float(lines[1].split("=", 1)[1]) <= float(
         lines[2].split("=", 1)[1]

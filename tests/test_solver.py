@@ -17,9 +17,11 @@ from realify import (
     SolverOptions,
     assemble_hsos,
     gen_sphere_instance,
+    reformulate_dual,
     solve,
 )
 from realify.solver import _factor_spd, _Workspace
+from test_complex_core import planted_sdp
 
 
 def max_corner_program():
@@ -160,20 +162,23 @@ def test_minimize_sense_negates_consistently():
 
 
 def test_solver_is_deterministic_to_the_bit():
-    rng1 = np.random.default_rng(23)
-    rng2 = np.random.default_rng(23)
-    p1 = planted_program(rng1, (3, 4), 8, 1)
-    p2 = planted_program(rng2, (3, 4), 8, 1)
-    r1 = solve(p1)
-    r2 = solve(p2)
-    assert r1.objective == r2.objective
-    assert all(
-        np.array_equal(a, b)
-        for a, b in zip(r1.primal_blocks, r2.primal_blocks)
-    )
-    assert np.array_equal(r1.dual_row_values, r2.dual_row_values)
-    assert np.array_equal(r1.free_values, r2.free_values)
-    assert r1.iterations == r2.iterations
+    # the second program is in LMI form and is solved through its dual
+    for build in (
+        lambda rng: planted_program(rng, (3, 4), 8, 1),
+        lambda rng: reformulate_dual(planted_sdp(rng, 4, 6)[0]),
+    ):
+        r1 = solve(build(np.random.default_rng(23)))
+        r2 = solve(build(np.random.default_rng(23)))
+        assert r1.presolve == r2.presolve
+        assert r1.objective == r2.objective
+        assert all(
+            np.array_equal(a, b)
+            for a, b in zip(r1.primal_blocks, r2.primal_blocks)
+        )
+        assert np.array_equal(r1.dual_row_values, r2.dual_row_values)
+        assert np.array_equal(r1.free_values, r2.free_values)
+        assert r1.iterations == r2.iterations
+    assert r1.presolve["dualized"] == [0]
 
 
 def test_objective_scaling_covariance():
@@ -285,6 +290,7 @@ def test_duplicated_row_matches_single_row_solution():
     assert b.dual_row_values[1] == 0.0
     assert b.presolve == {
         "dropped_empty": [], "dropped_dependent": [1], "dropped_free": [],
+        "dualized": [],
     }
 
 
@@ -487,3 +493,137 @@ def test_presolve_reports_the_free_columns_it_removes():
     assert len(res.presolve["dropped_free"]) == 9
     assert res.presolve["dropped_empty"] == res.presolve["dropped_dependent"] == []
     assert np.all(res.free_values[res.presolve["dropped_free"]] == 0.0)
+
+
+def lmi_program(rng, sizes, nf, sense):
+    """Program in LMI form: one row per upper-triangle key of every block.
+
+    The rows pin X = Z0 - sum_j f_j G_j with random nonzero coefficients,
+    in shuffled key order.  Z0 puts a strictly feasible X0 at a random f0,
+    and cf is built from a positive definite Y0 with <G_j, Y0> = -c~_j
+    (c~_j for maximize), so both sides are strictly feasible.  The block
+    objective C is random.
+    """
+    s = -1.0 if sense == "maximize" else 1.0
+    f0 = rng.standard_normal(nf)
+    rows, obj, cf = [], [], np.zeros(nf)
+    for b, n in enumerate(sizes):
+        g, h, c = rng.standard_normal((3, n, n))
+        G = rng.standard_normal((nf, n, n))
+        G = G + G.transpose(0, 2, 1)
+        z0 = g @ g.T + 0.5 * np.eye(n) + np.tensordot(f0, G, axes=1)
+        y0 = h @ h.T + 0.5 * np.eye(n)
+        c = c + c.T
+        cf += -s * np.tensordot(G, y0) + np.tensordot(G, c)
+        for i in range(n):
+            for j in range(i, n):
+                coef = rng.choice([-1.0, 1.0]) * rng.uniform(0.5, 2.0)
+                w = coef if i == j else 2.0 * coef
+                rows.append(Row(
+                    entries=((b, i, j, coef),),
+                    free=tuple((k, float(w * G[k, i, j])) for k in range(nf)),
+                    rhs=float(w * z0[i, j]),
+                ))
+                obj.append((b, i, j, float(c[i, j])))
+    return RealConicProgram(
+        psd_blocks=tuple(sizes), n_free=nf,
+        rows=tuple(rows[t] for t in rng.permutation(len(rows))),
+        objective=LinearFunctional(
+            entries=tuple(obj), free=tuple((k, float(cf[k])) for k in range(nf)),
+        ),
+        sense=sense,
+    )
+
+
+def slack_of(prog, dual):
+    """Blockwise C - A*(dual), the slack of a minimization program."""
+    S = [np.zeros((n, n)) for n in prog.psd_blocks]
+    for k, row in enumerate((prog.objective,) + tuple(prog.rows)):
+        for b, i, j, c in row.entries:
+            v = c if k == 0 else -c * dual[k - 1]
+            S[b][i, j] += v
+            if i != j:
+                S[b][j, i] += v
+    return S
+
+
+@pytest.mark.parametrize("sense", ["minimize", "maximize"])
+def test_lmi_form_is_solved_through_its_dual(sense):
+    rng = np.random.default_rng(28)
+    prog = lmi_program(rng, (3, 4), 5, sense)
+    res = solve(prog, LOOSE)
+    assert res.status == "optimal"
+    assert res.presolve == {
+        "dropped_empty": [], "dropped_dependent": [], "dropped_free": [],
+        "dualized": [0, 1],
+    }
+    scale = 1.0 + float(np.abs(prog.rhs).max())
+    resid = prog.row_residuals(res.primal_blocks, res.free_values)
+    assert np.abs(resid).max() <= 1e-9 * scale
+    # X and the slack C - A*(y) (A*(y) - C for maximize) are PSD, and the
+    # row duals price the objective and every free scalar's column
+    s = -1.0 if sense == "maximize" else 1.0
+    for X, S in zip(res.primal_blocks, slack_of(prog, res.dual_row_values)):
+        assert np.linalg.eigvalsh(X)[0] >= -1e-7 * (1.0 + np.abs(X).max())
+        assert np.linalg.eigvalsh(s * S)[0] >= -1e-7 * (1.0 + np.abs(S).max())
+    a = prog.functionals
+    cf = np.zeros(prog.n_free)
+    cf[a.free_idx[:a.free_indptr[1]]] = a.free_coef[:a.free_indptr[1]]
+    Ft = np.zeros((prog.n_free, prog.n_rows))
+    for k, row in enumerate(prog.rows):
+        for q, c in row.free:
+            Ft[q, k] = c
+    np.testing.assert_allclose(Ft @ res.dual_row_values, cf, atol=1e-6 * scale)
+    dual_obj = float(prog.rhs @ res.dual_row_values)
+    assert dual_obj == pytest.approx(res.objective, abs=1e-6 * (1 + abs(res.objective)))
+    # oracle: a duplicated row breaks the LMI form, so the program is solved
+    # directly and presolve drops the copy
+    twice = RealConicProgram(
+        psd_blocks=prog.psd_blocks, n_free=prog.n_free,
+        rows=tuple(prog.rows) + (prog.rows[0],), objective=prog.objective,
+        sense=sense,
+    )
+    ref = solve(twice, LOOSE)
+    assert ref.status == "optimal"
+    assert ref.presolve["dualized"] == []
+    assert ref.presolve["dropped_dependent"] == [prog.n_rows]
+    assert res.objective == pytest.approx(ref.objective, abs=1e-6 * (1 + abs(ref.objective)))
+
+
+def test_lmi_form_with_an_unused_priced_free_scalar_is_unbounded():
+    # minimize f0 + f1 s.t. [[f0, 1], [1, f0]] PSD, f1 in no row
+    prog = RealConicProgram(
+        psd_blocks=(2,),
+        n_free=2,
+        rows=(
+            Row(entries=((0, 0, 0, 1.0),), free=((0, -1.0),), rhs=0.0),
+            Row(entries=((0, 1, 1, 1.0),), free=((0, -1.0),), rhs=0.0),
+            Row(entries=((0, 0, 1, 0.5),), rhs=1.0),
+        ),
+        objective=LinearFunctional(free=((0, 1.0), (1, 1.0))),
+        sense="minimize",
+    )
+    res = solve(prog)
+    assert res.presolve["dualized"] == [0]
+    assert res.status == "infeasible"
+
+
+def test_only_programs_pinning_every_key_once_are_dualized():
+    # minimize X[1,1] with X[0,0] = 1 and X[0,1] = 0.5: the row count fits
+    # a 2 x 2 block, but one key is pinned twice or a coefficient is zero
+    rows = (
+        Row(entries=((0, 0, 0, 1.0),), rhs=1.0),
+        Row(entries=((0, 0, 1, 0.5),), rhs=0.5),
+    )
+    for extra in (
+        Row(entries=((0, 0, 0, 2.0),), rhs=2.0),
+        Row(entries=((0, 1, 1, 0.0),), rhs=0.0),
+    ):
+        prog = RealConicProgram(
+            psd_blocks=(2,), n_free=0, rows=rows + (extra,),
+            objective=LinearFunctional(entries=((0, 1, 1, 1.0),)), sense="minimize",
+        )
+        res = solve(prog, LOOSE)
+        assert res.presolve["dualized"] == []
+        assert res.status == "optimal"
+        assert res.objective == pytest.approx(0.25, abs=1e-6)
