@@ -260,9 +260,9 @@ class SolveResult:
     ``objective`` is reported in the program's own sense.  Dual values follow
     the multiplier convention in which, at an optimum of a maximization
     program, sum_k rhs_k * dual_row_values[k] equals the objective.
-    ``presolve`` lists, by index, what presolve took out: structurally
-    empty rows ("dropped_empty"), rows dependent on earlier ones
-    ("dropped_dependent") and free scalars fixed at zero ("dropped_free"),
+    ``presolve`` lists, by index, what presolve took out: rows whose
+    coefficients are all zero ("dropped_empty"), rows dependent on earlier
+    ones ("dropped_dependent") and free scalars fixed at zero ("dropped_free"),
     and the PSD blocks solved through the standard-form dual of a program
     in LMI form ("dualized": every block, or none); there the dropped
     scalars are the dual's dropped rows.

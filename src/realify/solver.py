@@ -72,46 +72,34 @@ class SolverOptions:
 class _Workspace:
     """Preprocessed solver data for one program.
 
-    Presolve drops structurally empty rows, rows that are exact linear
-    combinations of earlier ones (rank detection on the normalized row Gram
-    via pivoted Cholesky, the only factorization of that Gram; dependent but
-    consistent rows would otherwise make the Schur system singular and let
-    the multipliers drift along its null space), free scalars that appear in
-    no surviving row, and free scalars whose columns are linear combinations
-    of earlier ones (the equality multipliers of a moment relaxation carry
-    such syzygies, g_j H_i = g_i H_j).
-    Dropped rows report a zero multiplier and are re-checked in the final
-    residuals; dropped scalars are reported as zero.  Each block's rows are
-    then split once, by stored entries, into the dense and sparse rows of the
-    Schur assembly.
+    Presolve is one pass per variable kind, each a pivoted Cholesky of a
+    Gram scaled to unit diagonal, the only factorization of that Gram.  The
+    row pass drops rows whose coefficients are all zero and rows that are
+    linear combinations of earlier ones; dependent but consistent rows
+    would otherwise make the Schur system singular and let the multipliers
+    drift along its null space.  The free-column pass drops free scalars
+    whose columns are zero or combinations of earlier ones (the equality
+    multipliers of a moment relaxation carry such syzygies,
+    g_j H_i = g_i H_j).  Dropped rows report a zero multiplier and are
+    re-checked in the final residuals; dropped scalars are reported as zero.
+    Each block's rows are then split once, by stored entries, into the
+    dense and sparse rows of the Schur assembly.
     """
 
     def __init__(self, prog: RealConicProgram):
         self.sizes = list(prog.psd_blocks)
-        self.nf_total = prog.n_free
         self.sign = -1.0 if prog.sense == "maximize" else 1.0
 
-        # Structurally empty rows are dropped up front (their duals are
-        # zero); an empty row with nonzero rhs is an immediate
-        # infeasibility certificate.  Functional k + 1 is row k.
+        # Functional 0 is the objective, functional k + 1 is row k.  R[b]
+        # holds vec(A_kb) per row; used for all operator applications and
+        # the Schur assembly, each entry (i, j) with its mirror (j, i) when
+        # off the diagonal.  The same layout of the objective is C_b, and
+        # its free part is cf.
         a = prog.functionals
         counts, fcounts = np.diff(a.indptr), np.diff(a.free_indptr)
-        empty = (counts[1:] == 0) & (fcounts[1:] == 0)
-        self.dropped_empty = np.flatnonzero(empty).tolist()
-        self.bad_empty = np.flatnonzero(empty & (np.abs(prog.rhs) > _TINY)).tolist()
-        self.active = np.flatnonzero(~empty)
-        self.m = self.active.size
-        self.b = prog.rhs[~empty]
-
-        # each free entry's position among the active rows; the objective's
-        # f0 free entries come first
-        at, f0 = np.r_[0, np.cumsum(~empty) - 1], fcounts[0]
-        self.F = np.zeros((self.m, self.nf_total))
-        self.F[np.repeat(at, fcounts)[f0:], a.free_idx[f0:]] = a.free_coef[f0:]
-        # R[b] holds vec(A_kb) per active row; used for all operator
-        # applications and the Schur assembly, each entry (i, j) with its
-        # mirror (j, i) when off the diagonal.  The same layout of the
-        # objective, functional 0, is C_b.
+        F = np.zeros((counts.size, prog.n_free))
+        F[np.repeat(np.arange(counts.size), fcounts), a.free_idx] = a.free_coef
+        self.cf, self.F = self.sign * F[0], F[1:]
         fun = np.repeat(np.arange(counts.size), counts)
         self.R, self.C = [], []
         for b, n in enumerate(self.sizes):
@@ -122,42 +110,31 @@ class _Workspace:
                 np.r_[a.i[sel] * n + a.j[sel], a.j[off] * n + a.i[off]],
             )), shape=(counts.size, n * n))
             self.C.append((self.sign * Rb[0]).toarray().reshape(n, n))
-            self.R.append(Rb[1 + self.active])
+            self.R.append(Rb[1:])
 
-        self.dropped_dependent: list[int] = []
-        if self.m >= 2:
-            G = np.zeros((self.m, self.m))
-            for Rb in self.R:
-                G += (Rb @ Rb.T).toarray()
-            keep = _independent(G + self.F @ self.F.T)
-            if keep.size < self.m:
-                self.dropped_dependent = np.delete(self.active, keep).tolist()
-                self.active = self.active[keep]
-                self.b = self.b[keep]
-                self.F = self.F[keep]
-                self.R = [Rb[keep] for Rb in self.R]
-                self.m = int(keep.size)
+        # The row Gram's diagonal holds the squared row norms; a zero marks
+        # an empty row, which with a nonzero rhs certifies infeasibility.
+        G = np.zeros((prog.n_rows, prog.n_rows))
+        for Rb in self.R:
+            G += (Rb @ Rb.T).toarray()
+        G += self.F @ self.F.T
+        norms = np.sqrt(np.diag(G))
+        self.active = _independent(G)
+        dropped = np.delete(np.arange(prog.n_rows), self.active)
+        empty = dropped[norms[dropped] == 0.0]
+        self.dropped_empty = empty.tolist()
+        self.dropped_dependent = np.setdiff1d(dropped, empty).tolist()
+        self.infeasible = bool(np.any(np.abs(prog.rhs[empty]) > _TINY))
+        self.m = int(self.active.size)
+        self.b, self.row_norms = prog.rhs[self.active], norms[self.active]
+        # column-major, the layout LAPACK solves M^-1 F in every iteration
+        self.F = np.asfortranarray(self.F[self.active])
+        self.R = [Rb[self.active] for Rb in self.R]
 
-        cf_full = np.zeros(self.nf_total)
-        cf_full[a.free_idx[:f0]] = self.sign * a.free_coef[:f0]
-        if self.nf_total:
-            col_used = (self.F != 0.0).any(axis=0)
-            # An unconstrained scalar with a real objective coefficient
-            # makes the program unbounded; coefficients at roundoff scale
-            # (endemic when right-hand sides are computed numerically) are
-            # treated as zero and the scalar is pinned.
-            tol_cf = 1e-12 * (1.0 + float(np.abs(cf_full).max(initial=0.0)))
-            self.unbounded_free = bool(
-                np.any(np.abs(cf_full[~col_used]) > tol_cf)
-            )
-            self.free_idx = np.flatnonzero(col_used)
-        else:
-            self.unbounded_free = False
-            self.free_idx = np.zeros(0, dtype=int)
-        self.F = self.F[:, self.free_idx]
-        self.cf = cf_full[self.free_idx]
-        self.nf = int(self.free_idx.size)
-        self._reduce_free_columns()
+        self.free_idx = np.arange(prog.n_free)
+        self.nf = prog.n_free
+        if self.nf:
+            self._reduce_free_columns()
 
         # Rows with more than n stored entries are dense (densified per
         # chunk); the others keep left-aligned, zero-padded entry lists.
@@ -177,38 +154,32 @@ class _Workspace:
             )
 
         self.N = sum(self.sizes) if self.sizes else 1
-        norms = np.zeros(self.m)
-        for Rb in self.R:
-            norms += np.asarray(Rb.multiply(Rb).sum(axis=1)).ravel()
-        if self.nf:
-            norms += (self.F ** 2).sum(axis=1)
-        self.row_norms = np.sqrt(norms)
         self.C_norm = max(float(np.linalg.norm(Cb)) for Cb in self.C + [self.cf])
 
     def _reduce_free_columns(self) -> None:
-        """Drop free columns that are linear combinations of earlier ones.
+        """Drop free columns that are zero or combinations of earlier ones.
 
         A rank-deficient free block leaves the Schur reduction F' M^-1 F
         singular and the free directions underdetermined; the resulting
-        null-space excursions wreck the step arithmetic.  Dependent columns
+        null-space excursions wreck the step arithmetic.  Dropped columns
         can be removed without changing the optimum provided the objective
-        is consistent along the dependency (otherwise the program is
-        unbounded in the stated sense, which the caller reports); the
-        removed scalars are fixed at zero in the returned solution.
+        is consistent along the dependency; otherwise the stated sense is
+        unbounded (a priced scalar in no kept row is the plainest case),
+        which the caller reports.  The tolerance on that check, 1e-9
+        relative, sits above the lstsq rounding of kept columns as
+        ill-conditioned as the rank tolerance admits.  The removed scalars
+        are fixed at zero in the returned solution.
         """
-        if self.nf < 2 or self.m == 0:
-            return
         kept = _independent(self.F.T @ self.F)
         if kept.size == self.nf:
             return
         dropped = np.setdiff1d(np.arange(self.nf), kept)
         Fk = self.F[:, kept]
-        Fd = self.F[:, dropped]
-        W = np.linalg.lstsq(Fk, Fd, rcond=None)[0]
+        W = np.linalg.lstsq(Fk, self.F[:, dropped], rcond=None)[0]
         mismatch = self.cf[dropped] - W.T @ self.cf[kept]
         tol_cf = 1e-9 * (1.0 + float(np.abs(self.cf).max(initial=0.0)))
         if float(np.abs(mismatch).max(initial=0.0)) > tol_cf:
-            self.unbounded_free = True
+            self.infeasible = True
         self.free_idx = self.free_idx[kept]
         self.F = Fk
         self.cf = self.cf[kept]
@@ -437,15 +408,9 @@ def _solve_direct(prog: RealConicProgram, opts: SolverOptions) -> SolveResult:
 
     zero_blocks = [np.zeros((n, n)) for n in ws.sizes]
     zero_free = np.zeros(ws.nf)
-    if ws.bad_empty:
-        worst = float(np.abs(prog.rhs[ws.bad_empty]).max())
-        return finish(
-            "infeasible", zero_blocks, zero_free, None,
-            {"primal_inf": worst, "dual_inf": 0.0, "gap": np.inf}, 0,
-        )
-    if ws.unbounded_free:
-        # A free scalar with an objective coefficient but no surviving
-        # constraint row: the stated sense is unbounded.
+    if ws.infeasible:
+        # An empty row with nonzero rhs, or a priced free scalar that the
+        # kept rows leave unbounded in the stated sense.
         return finish(
             "infeasible", zero_blocks, zero_free, None,
             {"primal_inf": 0.0, "dual_inf": 0.0, "gap": np.inf}, 0,

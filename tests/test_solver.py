@@ -198,13 +198,20 @@ def test_objective_scaling_covariance():
     assert b.objective == pytest.approx(10.0 * a.objective, rel=1e-6)
 
 
-def test_empty_row_with_zero_rhs_is_dropped_with_zero_dual():
+# a row with no entries, and one whose only coefficient is a stored zero
+empty_entries = pytest.mark.parametrize(
+    "entries", [(), ((0, 0, 1, 0.0),)], ids=["no_entries", "stored_zero"]
+)
+
+
+@empty_entries
+def test_empty_row_with_zero_rhs_is_dropped_with_zero_dual(entries):
     prog = RealConicProgram(
         psd_blocks=(2,),
         n_free=0,
         rows=(
             Row(entries=((0, 0, 0, 1.0), (0, 1, 1, 1.0)), rhs=1.0),
-            Row(entries=(), rhs=0.0),
+            Row(entries=entries, rhs=0.0),
         ),
         objective=LinearFunctional(entries=((0, 0, 0, 1.0),)),
         sense="maximize",
@@ -212,17 +219,23 @@ def test_empty_row_with_zero_rhs_is_dropped_with_zero_dual():
     res = solve(prog)
     assert res.status == "optimal"
     assert res.dual_row_values[1] == 0.0
+    assert res.presolve["dropped_empty"] == [1]
+    assert res.presolve["dropped_dependent"] == []
 
 
-def test_empty_row_with_nonzero_rhs_is_infeasible():
+@empty_entries
+def test_empty_row_with_nonzero_rhs_is_infeasible(entries):
     prog = RealConicProgram(
         psd_blocks=(2,),
         n_free=0,
-        rows=(Row(entries=(), rhs=3.0),),
+        rows=(Row(entries=entries, rhs=3.0),),
         objective=LinearFunctional(entries=((0, 0, 0, 1.0),)),
         sense="maximize",
     )
-    assert solve(prog).status == "infeasible"
+    res = solve(prog)
+    assert res.status == "infeasible"
+    assert res.iterations == 0
+    assert res.presolve["dropped_empty"] == [0]
 
 
 def test_no_rows_feasibility_split_on_objective_sign():
@@ -244,6 +257,18 @@ def test_no_rows_feasibility_split_on_objective_sign():
         sense="maximize",
     )
     assert solve(unbounded).status == "infeasible"
+    # a free scalar and no rows: unbounded when priced, pinned at 0 when not
+    for price, status in (((0, 1.0),), "infeasible"), ((), "optimal"):
+        prog = RealConicProgram(
+            psd_blocks=(3,),
+            n_free=1,
+            rows=(),
+            objective=LinearFunctional(entries=((0, 0, 0, -1.0),), free=price),
+            sense="maximize",
+        )
+        res = solve(prog)
+        assert res.status == status
+        assert res.presolve["dropped_free"] == [0]
 
 
 def test_unconstrained_free_variable_with_objective_is_unbounded():
@@ -271,6 +296,35 @@ def test_unconstrained_free_variable_without_objective_pins_to_zero():
     res = solve(prog)
     assert res.status == "optimal"
     assert res.free_values[1] == 0.0
+
+
+@pytest.mark.parametrize("objective, sense, status", [
+    (LinearFunctional(free=((0, 1.0),)), "minimize", "infeasible"),
+    (LinearFunctional(free=((0, -1.0),)), "maximize", "infeasible"),
+    (LinearFunctional(entries=((0, 0, 0, 1.0),)), "minimize", "optimal"),
+], ids=["min_f0", "max_minus_f0", "unpriced"])
+def test_dependent_free_scalar_is_pinned_unless_its_price_is_unmatched(
+    objective, sense, status,
+):
+    # X00 + f0 + f1 = 1, X11 = 1: the column of f1 repeats that of f0, so
+    # presolve keeps f0 and pins f1 at zero.  Priced f0 alone improves
+    # without bound along f0 -> -inf, f1 -> +inf.
+    prog = RealConicProgram(
+        psd_blocks=(2,),
+        n_free=2,
+        rows=(
+            Row(entries=((0, 0, 0, 1.0),), free=((0, 1.0), (1, 1.0)), rhs=1.0),
+            Row(entries=((0, 1, 1, 1.0),), rhs=1.0),
+        ),
+        objective=objective,
+        sense=sense,
+    )
+    res = solve(prog)
+    assert res.status == status
+    assert res.presolve["dropped_free"] == [1]
+    assert res.free_values[1] == 0.0
+    if status == "infeasible":
+        assert res.iterations == 0
 
 
 def test_duplicated_row_matches_single_row_solution():
