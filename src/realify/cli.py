@@ -12,6 +12,7 @@ and seed; wall times are the one exception.
 """
 
 import argparse
+import dataclasses
 import json
 import sys
 
@@ -81,32 +82,25 @@ def cmd_relax(args) -> int:
     art = assemble_hsos(p, args.d, args.form)
     export_sdpa(art.program, args.out)
 
-    # every (key, part) in key order, so a row's first key is its class's
-    members: dict[int, list] = {}
-    for (key, part), rid in art.row_index.items():
-        members.setdefault(rid, []).append((key, part))
+    # column r of T holds row r's keys in key order, so its first key is
+    # its class's; a real entry marks a real row, an empty column a
+    # structural one
+    T, keys = art.row_index.T.tocsc(), art.row_index.canonical()
     rows = []
     for rid in range(art.program.n_rows):
-        if rid in members:
-            ((beta, gamma), part), *rest = members[rid]
-            row = {
-                "row": rid, "beta": list(beta), "gamma": list(gamma), "part": part
-            }
-            if rest:
-                row["merged"] = [
-                    {"beta": list(b), "gamma": list(g)} for (b, g), _ in rest
-                ]
-            rows.append(row)
-        else:
+        at = slice(T.indptr[rid], T.indptr[rid + 1])
+        if at.start == at.stop:
             rows.append({"row": rid, "structural": True})
-    sidecar = {
-        "version": SIDECAR_VERSION,
-        "form": args.form,
-        "order": args.d,
-        "rows": rows,
-    }
+            continue
+        (beta, gamma), *rest = (keys[k] for k in T.indices[at])
+        row = {"row": rid, "beta": list(beta), "gamma": list(gamma),
+               "part": "re" if T.data[at.start].real else "im"}
+        if rest:
+            row["merged"] = [{"beta": list(b), "gamma": list(g)} for b, g in rest]
+        rows.append(row)
     with open(str(args.out) + ".rows.json", "w") as fh:
-        json.dump(sidecar, fh, indent=1)
+        json.dump({"version": SIDECAR_VERSION, "form": args.form, "order": args.d,
+                   "rows": rows}, fh, indent=1)
         fh.write("\n")
 
     print(
@@ -129,12 +123,7 @@ def cmd_solve(args) -> int:
         "presolve": res.presolve,
         "form": args.form,
         "order": args.d,
-        "options": {
-            "tol_gap": opts.tol_gap,
-            "tol_primal": opts.tol_primal,
-            "tol_dual": opts.tol_dual,
-            "max_iter": opts.max_iter,
-        },
+        "options": dataclasses.asdict(opts),
     }
     if args.out is not None:
         with open(args.out, "w") as fh:
@@ -157,18 +146,8 @@ def cmd_solve(args) -> int:
 def cmd_compare(args) -> int:
     p = _instance(args.family, args.s, args.seed)
     out = compare_reformulations(p, args.d, _options(args), repeats=args.repeats)
-    row = {
-        "s": args.s,
-        "d": args.d,
-        "n_sdp": out["n_sdp"],
-        "m_naive": out["m_naive"],
-        "m_dualview": out["m_dualview"],
-        "opt_naive": repr(out["opt_naive"]),
-        "opt_dualview": repr(out["opt_dualview"]),
-        "time_naive": repr(out["time_naive"]),
-        "time_dualview": repr(out["time_dualview"]),
-        "seed": args.seed,
-    }
+    # str() of a float is its repr, so every value prints exactly
+    row = {**out, "s": args.s, "d": args.d, "seed": args.seed}
     path = args.out
     try:
         with open(path) as fh:

@@ -13,6 +13,7 @@ the constant monomial at position 0.
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass, field
 
@@ -222,14 +223,19 @@ class CPOP:
             if not g.terms:
                 raise ValueError("constraint polynomial is identically zero")
 
-    @property
+    @functools.cached_property
     def constraint_orders(self) -> tuple[int, ...]:
-        # half-degrees d_i, rounded up
-        return tuple(-(-g.degree // 2) for g, _ in self.constraints)
+        # max(|beta|, |gamma|) over the terms z^beta conj(z)^gamma (Josz and
+        # Molzahn); the half-degree only when every term is balanced
+        return tuple(_order(g) for g, _ in self.constraints)
 
-    @property
+    @functools.cached_property
     def d_min(self) -> int:
-        return max((-(-self.f.degree // 2), *self.constraint_orders), default=0)
+        return max((_order(self.f), *self.constraint_orders), default=0)
+
+
+def _order(g: CPolynomial) -> int:
+    return max((max(sum(b), sum(c)) for b, c in g.terms), default=0)
 
 
 # Instance generators.  Each family draws from its own child of the seed
@@ -268,6 +274,12 @@ def _modulus_equality(s: int, i: int) -> CPolynomial:
     return CPolynomial(s, {(e, e): 1.0 + 0j, (zero, zero): -1.0 + 0j})
 
 
+def _sphere_equality(s: int) -> CPolynomial:
+    # sum_i |z_i|^2 - 1
+    terms = {(e, e): 1.0 + 0j for e in (_unit_exponent(s, i) for i in range(s))}
+    return CPolynomial(s, {**terms, ((0,) * s,) * 2: -1.0 + 0j})
+
+
 def gen_sphere_instance(s: int, seed: int) -> CPOP:
     """Random quartic over the unit sphere sum |z_i|^2 = 1.
 
@@ -281,17 +293,10 @@ def gen_sphere_instance(s: int, seed: int) -> CPOP:
     m = (rng.standard_normal((w, w)) + 1j * rng.standard_normal((w, w))) / np.sqrt(2.0)
     q = (m + m.conj().T) / 2.0
     np.fill_diagonal(q, rng.standard_normal(w))
-
-    zero = (0,) * s
-    sphere_terms: dict[TermKey, complex] = {}
-    for i in range(s):
-        e = _unit_exponent(s, i)
-        sphere_terms[(e, e)] = 1.0 + 0j
-    sphere_terms[(zero, zero)] = -1.0 + 0j
     return CPOP(
         s=s,
         f=_quadratic_form_objective(basis, q),
-        constraints=((CPolynomial(s, sphere_terms), "eq"),),
+        constraints=((_sphere_equality(s), "eq"),),
     )
 
 

@@ -29,14 +29,19 @@ A free multiplier H = P + iQ needs no embedding: it enters both forms as
 the same w^2 free scalars, placed by index arithmetic.
 
 The dual multipliers of the coefficient rows are exactly the moment
-sequence of the relaxation, which ``extract_moments`` reads off; the
-keys of one class read the same row.
+sequence of the relaxation.  One sparse matrix T, canonical keys by rows,
+says how: the canonical moments are T times the row multipliers, which is
+all ``extract_moments`` computes, and the keys of one class read the same
+row.  ``RelaxationArtifact.row_index`` stores T and derives each
+(key, part) -> row lookup from it.
 """
 
 from __future__ import annotations
 
+import itertools
 import math
 from collections import namedtuple
+from collections.abc import Mapping
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -108,9 +113,9 @@ def build_data_matrices(p: CPOP, d: int) -> DataMatrixSet:
     For a localizing polynomial g, position (beta', gamma') of block i
     receives g's coefficient at (beta'', gamma'') in the matrix for key
     (beta' + beta'', gamma' + gamma'').  Distinct terms reach distinct keys,
-    so no position of one key's matrix is written twice.  A key escaping
-    the degree-d index range means the constraint is too high-degree for
-    its block size and is rejected.
+    so no position of one key's matrix is written twice.  Block i has
+    degree d - d_i with d_i = max(|beta''|, |gamma''|) over g's terms, so
+    every key stays in the degree-d index range.
     """
     _require_order(p, d)
     one = {((0,) * p.s, (0,) * p.s): 1.0 + 0j}
@@ -126,13 +131,8 @@ def build_data_matrices(p: CPOP, d: int) -> DataMatrixSet:
         for (b2, g2), c in terms.items():
             # the basis index of each exponent shifted by b2, then by g2
             at = np.array([[
-                bases[0].index.get(tuple(x + y for x, y in zip(e, t)), -1)
-                for e in exps
+                bases[0].index[tuple(x + y for x, y in zip(e, t))] for e in exps
             ] for t in (b2, g2)])
-            if (at < 0).any():
-                raise ValueError(
-                    f"localizing term {(b2, g2)!r} pushes a key beyond degree {d}"
-                )
             parts.append((at[0][pb], at[1][qb], np.full(pb.size, blk), pb, qb,
                           np.full(pb.size, c)))
     cols = [np.concatenate(x) for x in zip(*parts)]
@@ -147,15 +147,16 @@ def build_data_matrices(p: CPOP, d: int) -> DataMatrixSet:
 
 def moment_matrix(y, basis: MonomialBasis) -> HermitianMatrix:
     """Hermitian matrix of y over basis x basis; every key must be present."""
-    w = len(basis)
-    z = np.empty((w, w), dtype=complex)
-    for i, beta in enumerate(basis.exponents):
-        for j, gamma in enumerate(basis.exponents):
-            try:
-                z[i, j] = y[(beta, gamma)]
-            except KeyError:
-                raise KeyError(f"moment value missing for {(beta, gamma)!r}")
+    keys = list(itertools.product(basis.exponents, repeat=2))
+    for key in (k for k in keys if k not in y):
+        raise KeyError(f"moment value missing for {key!r}")
+    z = np.array([y[k] for k in keys], dtype=complex).reshape(len(basis), -1)
     return HermitianMatrix.from_complex(z)
+
+
+def _upper(i, j, w):
+    """Row-major index of (i, j), i <= j, in the upper triangle of w x w."""
+    return i * (2 * w - i + 1) // 2 + j - i
 
 
 def _key_classes(p: CPOP, data: DataMatrixSet) -> tuple[np.ndarray, ...]:
@@ -175,7 +176,7 @@ def _key_classes(p: CPOP, data: DataMatrixSet) -> tuple[np.ndarray, ...]:
     e, w = data.entries, len(data.bases[0])
     n = w * (w + 1) // 2
     i, j = e.row, e.col
-    canon = np.where(i <= j, i * (2 * w - i + 1) // 2 + j - i, -1)
+    canon = np.where(i <= j, _upper(i, j, w), -1)
     absorbed = np.zeros(len(p.constraints), dtype=bool)
     for k, (g, kind) in enumerate(p.constraints):
         if kind == "eq" and len(g.terms) == 2:
@@ -193,16 +194,59 @@ def _key_classes(p: CPOP, data: DataMatrixSet) -> tuple[np.ndarray, ...]:
     return canon, cls, i[reps] != j[reps], absorbed
 
 
+@dataclass(frozen=True, eq=False)
+class _KeyRows(Mapping):
+    """``row_index``: each canonical (key, part) to its class's data row.
+
+    It stores T, the complex sparse matrix of canonical keys (pairs i <= j
+    of ``basis``, row-major) by program rows: a key has 1 (diagonal) or 0.5
+    on its class's real row, and -0.5i on the imaginary row of an
+    off-diagonal class, so the canonical moments are T @ dual_row_values.
+    A lookup reads a key's first entry (real row) or second (imaginary).
+    Iteration yields every real (key, part) in key order, then every
+    imaginary one.
+    """
+
+    T: sp.csr_matrix
+    basis: MonomialBasis
+
+    def canonical(self) -> list[MomentKey]:
+        return list(itertools.combinations_with_replacement(self.basis.exponents, 2))
+
+    def __len__(self) -> int:
+        return self.T.nnz
+
+    def __iter__(self):
+        keys = self.canonical()
+        yield from ((k, "re") for k in keys)
+        im = np.diff(self.T.indptr) > 1
+        yield from ((k, "im") for k, h in zip(keys, im) if h)
+
+    def __getitem__(self, item: tuple[MomentKey, str]) -> int:
+        (beta, gamma), part = item
+        i, j = self.basis.index.get(beta), self.basis.index.get(gamma)
+        if None not in (i, j) and i <= j and part in ("re", "im"):
+            k = _upper(i, j, len(self.basis))
+            at = self.T.indptr[k] + (part == "im")
+            if at < self.T.indptr[k + 1]:
+                return int(self.T.indices[at])
+        raise KeyError(item)
+
+
 @dataclass(frozen=True)
 class RelaxationArtifact:
-    """Assembled real SDP plus the bookkeeping to interpret its solution."""
+    """Assembled real SDP plus the bookkeeping to interpret its solution.
+
+    ``row_index`` maps every canonical (key, part) to its data row as a
+    read-only view of T (see ``_KeyRows``), which ``extract_moments`` and
+    the ``.rows.json`` sidecar read.
+    """
 
     order: int
     form: str
     blocks: tuple[tuple[int, int], ...]
     program: RealConicProgram
-    row_index: dict[tuple[MomentKey, str], int] = field(compare=False)
-    lambda_id: int = 0
+    row_index: _KeyRows = field(compare=False)
 
 
 def assemble_hsos(p: CPOP, d: int, form: str) -> RelaxationArtifact:
@@ -213,10 +257,10 @@ def assemble_hsos(p: CPOP, d: int, form: str) -> RelaxationArtifact:
     imaginary row per off-diagonal class, then (naive form only) the
     structural rows of each doubled PSD block.  A class row is the sum of
     the rows of its keys, rhs included; without binomial equalities every
-    key is its own class.  ``row_index`` maps every canonical (key, part)
-    to its class row.  The PSD blocks are the moment block and one per
-    "ge" constraint, in constraint order; ``complex_sdp.embed_entries``
-    places their data entries.
+    key is its own class.  ``row_index`` stores T, which places every
+    canonical key on its class rows (see ``_KeyRows``).  The PSD blocks
+    are the moment block and one per "ge" constraint, in constraint order;
+    ``complex_sdp.embed_entries`` places their data entries.
 
     Free scalar 0 is the bound variable: it enters exactly once, in the
     real row of the constant key, and the objective is to maximize it.
@@ -236,8 +280,6 @@ def assemble_hsos(p: CPOP, d: int, form: str) -> RelaxationArtifact:
         raise ValueError("objective polynomial is empty")
     data = build_data_matrices(p, d)
     dims = np.array(data.block_dims)
-    exps = data.bases[0].exponents
-    re_keys = [(b, g) for i, b in enumerate(exps) for g in exps[i:]]
     canon, cls, off, absorbed = _key_classes(p, data)
     n_re = len(off)
     n_data = n_re + int(off.sum())
@@ -280,7 +322,7 @@ def assemble_hsos(p: CPOP, d: int, form: str) -> RelaxationArtifact:
     re_at, im_at, c = re_row[eq], im_row[eq], c[eq]
     w, base = dims[blk[eq]], free_of[blk[eq]]
     i, j = np.minimum(pb[eq], qb[eq]), np.maximum(pb[eq], qb[eq])
-    real = base + i * (2 * w - i + 1) // 2 + (j - i)
+    real = base + _upper(i, j, w)
     imag = base + w * (w + 1) // 2 + i * (2 * w - i - 1) // 2 + (j - i - 1)
     sign = np.where(pb[eq] < qb[eq], 1.0, -1.0)
     o, h = i != j, im_at >= 0
@@ -295,17 +337,26 @@ def assemble_hsos(p: CPOP, d: int, form: str) -> RelaxationArtifact:
     free = sp.csr_matrix((val, (row, col)), shape=(n_fun, 1 + int(sq.sum())))
     free.eliminate_zeros()
 
-    b = np.array([complex(p.f.terms.get(key, 0j)) for key in re_keys])
-    for t in np.flatnonzero((im_fun < 0) & (b.imag != 0.0))[:1]:
-        raise ValueError(f"diagonal objective coefficient {re_keys[t]!r} not real")
-    # each class sums its keys' coefficients onto its first key's
-    first = np.unique(cls, return_index=True)[1]
-    later = np.ones(len(cls), dtype=bool)
-    later[first] = False
-    bc = b[first]
-    np.add.at(bc, cls[later], b[later])
-    rhs = np.zeros(n_fun - 1)
-    rhs[:n_data] = np.concatenate([bc.real, bc[off].imag])
+    # T: each canonical key's entries on its class's rows (see _KeyRows)
+    has_im = im_fun > 0
+    T = sp.csr_matrix((
+        np.r_[np.where(has_im, 0.5, 1.0), np.full(has_im.sum(), -0.5j)],
+        (np.r_[np.arange(len(cls)), np.flatnonzero(has_im)],
+         np.r_[re_fun, im_fun[has_im]] - 1),
+    ), shape=(len(cls), n_fun - 1))
+
+    # the rhs: the objective's coefficients on canonical keys (f is
+    # Hermitian, so the mirrored half is redundant), each class summing its
+    # keys' in key order
+    index = data.bases[0].index
+    i, j = np.array([[index[b], index[g]] for b, g in p.f.terms]).T
+    c = np.array(list(p.f.terms.values()))[i <= j]
+    key = _upper(i, j, len(index))[i <= j]
+    order = np.argsort(key)
+    c, key = c[order], key[order]
+    h = has_im[key]
+    rhs = np.bincount(np.r_[re_fun[key], im_fun[key][h]] - 1,
+                      np.r_[c.real, c.imag[h]], minlength=n_fun - 1)
 
     program = RealConicProgram.from_arrays(
         tuple(2 * w for w in psd_dims), free.shape[1], entries, rhs,
@@ -314,16 +365,10 @@ def assemble_hsos(p: CPOP, d: int, form: str) -> RelaxationArtifact:
     return RelaxationArtifact(
         order=d,
         form=form,
-        blocks=tuple(
-            (src, 2 * w)
-            for src, w, e in zip(data.sources, data.block_dims, is_eq)
-            if not e
-        ),
+        blocks=tuple((src, 2 * w) for src, w, e in
+                     zip(data.sources, data.block_dims, is_eq) if not e),
         program=program,
-        row_index={
-            **{(k, "re"): r - 1 for k, r in zip(re_keys, re_fun.tolist())},
-            **{(k, "im"): r - 1 for k, r in zip(re_keys, im_fun.tolist()) if r > 0},
-        },
+        row_index=_KeyRows(T, data.bases[0]),
     )
 
 
@@ -358,31 +403,22 @@ def extract_moments(
 ) -> dict[MomentKey, complex]:
     """Moment sequence read off the dual row multipliers.
 
-    Diagonal keys take the real-row multiplier directly; off-diagonal
-    canonical keys take (u - i v) / 2 from their real and imaginary rows
-    and are conjugate-extended.  The sequence is normalized so the constant
-    key carries exactly 1.
+    The canonical moments are T @ dual_row_values (T is stored in
+    ``art.row_index``): a diagonal key takes its real row's multiplier u,
+    an off-diagonal one (u - i v) / 2 from its real and imaginary rows.
+    They are conjugate-extended to every ordered key of the basis and
+    normalized so the constant key carries exactly 1.
     """
     if res.status != "optimal":
         raise ValueError(
             f"moment extraction needs an optimal solve, got {res.status!r}"
         )
-    w = res.dual_row_values
-    y: dict[MomentKey, complex] = {}
-    for (key, part), rid in art.row_index.items():
-        if part != "re":
-            continue
-        beta, gamma = key
-        if beta == gamma:
-            y[key] = complex(w[rid])
-        else:
-            im_id = art.row_index.get((key, "im"))
-            v = float(w[im_id]) if im_id is not None else 0.0
-            val = complex(w[rid], -v) / 2.0
-            y[key] = val
-            y[(gamma, beta)] = val.conjugate()
-    s = len(next(iter(y))[0]) if y else 0
-    mass = y.get(((0,) * s, (0,) * s))
-    if mass is None or not mass.real > 1e-12:
-        raise ValueError("constant moment is missing or not positive")
-    return {k: v / mass.real for k, v in y.items()}
+    y, basis = art.row_index.T @ res.dual_row_values, art.row_index.basis
+    mass = y[0].real  # the constant key is canonical key 0
+    if not mass > 1e-12:
+        raise ValueError("constant moment is not positive")
+    Y, at = np.empty((len(basis),) * 2, dtype=complex), np.triu_indices(len(basis))
+    Y.T[at], Y[at] = y.conj(), y
+    # real and imaginary parts divided apart, as a complex / float does
+    vals = (Y.view(float) / mass).view(complex).ravel().tolist()
+    return dict(zip(itertools.product(basis.exponents, repeat=2), vals))

@@ -114,7 +114,7 @@ class _Workspace:
 
         # The row Gram's diagonal holds the squared row norms; a zero marks
         # an empty row, which with a nonzero rhs certifies infeasibility.
-        G = np.zeros((prog.n_rows, prog.n_rows))
+        G = np.zeros((prog.n_rows, prog.n_rows), order="F")
         for Rb in self.R:
             G += (Rb @ Rb.T).toarray()
         G += self.F @ self.F.T
@@ -247,11 +247,13 @@ def _independent(G: np.ndarray) -> np.ndarray:
     """Sorted indices of a maximal independent set of a Gram's columns.
 
     Pivoted Cholesky of G scaled to unit diagonal, with a relative rank
-    tolerance of 1e-10; G is overwritten.
+    tolerance of 1e-10; G is overwritten.  Scaled in column chunks, an
+    F-ordered G is factored in place with no m x m temporary.
     """
     d = np.sqrt(np.diag(G))
     d[d == 0.0] = 1.0
-    G /= np.outer(d, d)
+    for c in range(0, len(d), 64):
+        G[:, c:c + 64] /= np.outer(d, d[c:c + 64])
     _, piv, rank, _ = sla.lapack.dpstrf(G, tol=1e-10, lower=1, overwrite_a=True)
     return np.sort(piv[:rank] - 1)
 

@@ -12,7 +12,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .polynomials import CPOP, CPolynomial
+from .polynomials import CPOP, CPolynomial, _modulus_equality, _sphere_equality
 from .program import LinearFunctional, RealConicProgram, Row
 from .relaxation import assemble_hsos, size_report
 from .solver import SolverOptions, solve
@@ -43,31 +43,10 @@ class SampleReport:
         object.__setattr__(self, "best_value", float(self.best_value))
 
 
-def _modulus_pattern(g: CPolynomial) -> int | None:
-    # |z_i|^2 = 1 up to a nonzero scalar: returns i, else None
-    zero = (0,) * g.s
-    keys = set(g.terms)
-    if len(keys) != 2 or (zero, zero) not in keys:
-        return None
-    (beta, gamma), = keys - {(zero, zero)}
-    if beta != gamma or sum(beta) != 1:
-        return None
-    if g.terms[(beta, gamma)] != -g.terms[(zero, zero)]:
-        return None
-    return beta.index(1)
-
-
-def _sphere_pattern(g: CPolynomial) -> bool:
-    # sum_i |z_i|^2 = 1 up to a nonzero scalar
-    zero = (0,) * g.s
-    c0 = g.terms.get((zero, zero))
-    if c0 is None or len(g.terms) != g.s + 1:
-        return False
-    for i in range(g.s):
-        e = tuple(1 if k == i else 0 for k in range(g.s))
-        if g.terms.get((e, e)) != -c0:
-            return False
-    return True
+def _scaled(g: CPolynomial, h: CPolynomial) -> bool:
+    # g = c h for a real c != 0, where h's constant term is -1
+    c = -g.terms.get(((0,) * g.s,) * 2, 0j).real
+    return c != 0 and g.terms == h.scale(c).terms
 
 
 def sample_upper_bound(p: CPOP, n_samples: int, seed: int) -> SampleReport:
@@ -81,7 +60,8 @@ def sample_upper_bound(p: CPOP, n_samples: int, seed: int) -> SampleReport:
         raise ValueError("sample count must be positive")
     rng = np.random.default_rng(seed)
     cons = p.constraints
-    if len(cons) == 1 and cons[0][1] == "eq" and _sphere_pattern(cons[0][0]):
+    sphere = len(cons) == 1 and _scaled(cons[0][0], _sphere_equality(p.s))
+    if sphere and cons[0][1] == "eq":
         pts = rng.standard_normal((n_samples, p.s)) + 1j * rng.standard_normal(
             (n_samples, p.s)
         )
@@ -90,7 +70,8 @@ def sample_upper_bound(p: CPOP, n_samples: int, seed: int) -> SampleReport:
         len(cons) == p.s
         and all(kind == "eq" for _, kind in cons)
         and sorted(
-            filter(lambda i: i is not None, (_modulus_pattern(g) for g, _ in cons))
+            i for g, _ in cons for i in range(p.s)
+            if _scaled(g, _modulus_equality(p.s, i))
         )
         == list(range(p.s))
     ):
@@ -120,7 +101,7 @@ def grid_min_1d(p: CPOP, grid: int) -> float:
     if (
         len(p.constraints) != 1
         or p.constraints[0][1] != "eq"
-        or _modulus_pattern(p.constraints[0][0]) != 0
+        or not _scaled(p.constraints[0][0], _modulus_equality(1, 0))
     ):
         raise ValueError("grid search needs the single constraint |z_1|^2 = 1")
     if grid < 1:
@@ -170,11 +151,7 @@ def compare_reformulations(
     if repeats < 1:
         raise ValueError("repeats must be positive")
     rep = size_report(p, d)
-    out = {
-        "n_sdp": rep["n_sdp"],
-        "m_naive": rep["m_naive"],
-        "m_dualview": rep["m_dualview"],
-    }
+    out = {k: rep[k] for k in ("n_sdp", "m_naive", "m_dualview")}
     _warm_solver()
     for form in ("naive", "dualview"):
         art = assemble_hsos(p, d, form)

@@ -132,6 +132,27 @@ def test_relax_sidecar_names_every_merged_key_once(tmp_path, capsys, form):
     assert any("merged" in r for r in rows)
 
 
+GOLDEN = Path(__file__).parent / "data"
+
+
+@pytest.mark.parametrize("form", ["dualview", "naive"])
+@pytest.mark.parametrize("family, s, d", [
+    ("unitnorm", 2, 2), ("unitnorm", 3, 3), ("sphere", 2, 2),
+])
+def test_relax_sidecar_matches_the_golden_bytes(tmp_path, capsys, family, s, d, form):
+    # tests/data/<family>-<s>-<d>-<form>.rows.json: seed 0, written by
+    # `realify relax` when the sidecar was built from a (key, part) dict
+    prob, sdpa = tmp_path / "p.json", tmp_path / "p.dat-s"
+    assert main(["generate", "--family", family, "--s", str(s), "--seed", "0",
+                 "--out", str(prob)]) == 0
+    code, _, _ = run(capsys, "relax", "--in", str(prob), "--d", str(d),
+                     "--form", form, "--out", str(sdpa))
+    assert code == 0
+    got = (tmp_path / "p.dat-s.rows.json").read_bytes()
+    assert json.loads(got)["version"] == 2
+    assert got == (GOLDEN / f"{family}-{s}-{d}-{form}.rows.json").read_bytes()
+
+
 def test_relax_below_minimum_order_cites_it(tmp_path, capsys, sphere_file):
     code, _, stderr = run(
         capsys, "relax", "--in", str(sphere_file), "--d", "1", "--form",

@@ -15,6 +15,7 @@ from realify.polynomials import (
     monomial_basis,
 )
 from realify.relaxation import (
+    RelaxationArtifact,
     assemble_hsos,
     build_data_matrices,
     extract_moments,
@@ -22,6 +23,7 @@ from realify.relaxation import (
     size_report,
 )
 from realify.solver import SolverOptions, solve
+from realify.validation import grid_min_1d
 
 from entrywise_oracle import (
     ADDERS,
@@ -100,12 +102,14 @@ def test_localizing_entries_analytic_univariate():
 
 
 def test_overweight_localizing_term_is_rejected():
-    # z^2 + conj(z)^2 has a one-sided degree-2 term; at order 1 its keys
-    # escape the degree range and assembly must refuse.
+    # z^2 + conj(z)^2 has a one-sided degree-2 term: its order is
+    # max(|beta|, |gamma|) = 2, not its half-degree 1, and at order 1 its
+    # keys would escape the degree range, so assembly must refuse.
     g = hermitian_poly(1, {((2,), (0,)): 1 + 0j})
     f = hermitian_poly(1, {((1,), (1,)): 1 + 0j})
     p = CPOP(s=1, f=f, constraints=((g, "ge"),))
-    with pytest.raises(ValueError, match="beyond degree"):
+    assert p.constraint_orders == (2,)
+    with pytest.raises(ValueError, match="minimum admissible order 2"):
         build_data_matrices(p, 1)
 
 
@@ -576,6 +580,77 @@ def test_only_binomial_equalities_lose_their_multiplier():
         assert prog.n_rows == 36
 
 
+def walked_moments(art, res):
+    """The moment read-off as a walk over ``row_index``: the reference."""
+    w = res.dual_row_values
+    y = {}
+    for (key, part), rid in art.row_index.items():
+        if part != "re":
+            continue
+        beta, gamma = key
+        if beta == gamma:
+            y[key] = complex(w[rid])
+        else:
+            val = complex(w[rid], -float(w[art.row_index[(key, "im")]])) / 2.0
+            y[key] = val
+            y[(gamma, beta)] = val.conjugate()
+    zero = (0,) * len(next(iter(y))[0])
+    mass = y[(zero, zero)]
+    return {k: v / mass.real for k, v in y.items()}
+
+
+@pytest.mark.parametrize(
+    "p, d", ORACLE_CASES + QUOTIENT_CASES,
+    ids=[f"oracle-{x}" for x in ORACLE_IDS] + [
+        f"quotient-{k}" for k in range(len(QUOTIENT_CASES))
+    ],
+)
+def test_extract_moments_equals_the_row_index_walk(p, d):
+    for form in ("dualview", "naive"):
+        art = assemble_hsos(p, d, form)
+        res = solve(art.program, OPTS)
+        if res.status != "optimal":
+            with pytest.raises(ValueError, match="optimal"):
+                extract_moments(art, res)
+            continue
+        y = extract_moments(art, res)
+        assert y == walked_moments(art, res)
+        exps = monomial_basis(p.s, d).exponents
+        assert y.keys() == {(b, g) for b in exps for g in exps}
+
+
+def test_row_index_is_a_view_of_the_key_row_matrix():
+    p = gen_unitnorm_instance(3, seed=1)
+    w = math.comb(3 + 2, 2)
+    dv, nv = (assemble_hsos(p, 2, form) for form in ("dualview", "naive"))
+    for art in (dv, nv):
+        view = art.row_index
+        assert len(view) == len(list(view)) == w * w
+        assert set(view.values()) == set(range(dv.program.n_rows))
+        assert view.T.shape == (w * (w + 1) // 2, art.program.n_rows)
+    exps = monomial_basis(3, 2).exponents
+    lo, hi = exps[1], exps[2]
+    for missing in (
+        ((hi, lo), "re"),  # the mirrored half is not canonical
+        ((lo, lo), "im"),  # a diagonal key has no imaginary row
+        ((lo, hi), "Re"),
+        (((9, 0, 0), lo), "re"),  # beyond the degree-d basis
+    ):
+        assert missing not in dv.row_index
+        with pytest.raises(KeyError):
+            dv.row_index[missing]
+    assert dv.row_index[((lo, hi), "im")] >= dv.row_index[((lo, hi), "re")]
+
+    res = solve(dv.program, OPTS)
+    again = RelaxationArtifact(
+        order=dv.order, form=dv.form, blocks=dv.blocks, program=dv.program,
+        row_index=dv.row_index,
+    )
+    assert again == dv
+    assert again.row_index == dict(dv.row_index.items())
+    assert extract_moments(again, res) == extract_moments(dv, res)
+
+
 def test_row_rhs_matches_objective_coefficients():
     p = gen_sphere_instance(2, seed=21)
     art = assemble_hsos(p, 2, "dualview")
@@ -756,6 +831,37 @@ def test_extract_moments_requires_optimal_status():
     assert res.status != "optimal"
     with pytest.raises(ValueError, match="optimal"):
         extract_moments(art, res)
+
+
+# f = 1 + z^3 conj(z) + z conj(z)^3 = 1 + 2 cos(2 theta) on |z| = 1; its
+# terms are unbalanced, so its order is max(|beta|, |gamma|) = 3
+UNBALANCED = CPOP(s=1, f=hermitian_poly(1, {
+    ((0,), (0,)): 1.0, ((3,), (1,)): 1.0,
+}), constraints=((hermitian_poly(1, {((1,), (1,)): 1.0, ((0,), (0,)): -1.0}), "eq"),))
+
+
+def test_unbalanced_objective_terms_set_the_order():
+    assert UNBALANCED.f.degree == 4 and UNBALANCED.d_min == 3
+    gmin = grid_min_1d(UNBALANCED, 10**4)
+    assert abs(gmin + 1.0) <= 1e-12
+    for form in ("dualview", "naive"):
+        with pytest.raises(ValueError, match="minimum admissible order 3"):
+            assemble_hsos(UNBALANCED, 2, form)
+        res = solve(assemble_hsos(UNBALANCED, 3, form).program, OPTS)
+        assert res.status == "optimal"
+        assert res.objective <= gmin + 1e-6
+        assert abs(res.objective - gmin) <= 1e-5
+
+
+def test_unbalanced_constraint_assembles_at_its_order():
+    # z^2 + conj(z)^2 + 1 >= 0 has half-degree 1 but order 2
+    g = hermitian_poly(1, {((2,), (0,)): 1.0, ((0,), (0,)): 1.0})
+    f = hermitian_poly(1, {((1,), (1,)): 1.0})
+    p = CPOP(s=1, f=f, constraints=((g, "ge"),))
+    assert p.constraint_orders == (2,) and p.d_min == 2
+    for form in ("dualview", "naive"):
+        art = assemble_hsos(p, 2, form)
+        assert art.blocks == ((-1, 6), (0, 2))
 
 
 def test_relaxation_bounds_tighten_with_order():

@@ -5,6 +5,8 @@ checked against its planted construction and a second solve from perturbed
 stepping, never against the solver's own first answer.
 """
 
+import tracemalloc
+
 import numpy as np
 import pytest
 
@@ -20,7 +22,7 @@ from realify import (
     reformulate_dual,
     solve,
 )
-from realify.solver import _factor_spd, _Workspace
+from realify.solver import _factor_spd, _independent, _Workspace
 from test_complex_core import planted_sdp
 
 
@@ -515,6 +517,28 @@ def test_row_matrices_hold_each_entry_and_its_mirror():
         assert ws.R[b].has_canonical_format
         assert np.array_equal(ws.R[b].toarray(), want)
         assert ws.R[b].nnz == np.count_nonzero(want)
+
+
+def test_row_presolve_makes_no_gram_sized_temporary():
+    # a rank-deficient Gram with uneven row norms; F order is the layout
+    # LAPACK factors in place
+    rng = np.random.default_rng(5)
+    A = rng.standard_normal((400, 300)) * rng.uniform(0.1, 10.0, (400, 1))
+    A[300:] = 2.0 * A[:100]
+    G = np.asfortranarray(A @ A.T)
+    want = G / np.outer(np.sqrt(np.diag(G)), np.sqrt(np.diag(G)))
+    tracemalloc.start()
+    try:
+        base = tracemalloc.get_traced_memory()[0]
+        kept = _independent(G)
+        extra = tracemalloc.get_traced_memory()[1] - base
+    finally:
+        tracemalloc.stop()
+    assert extra < G.nbytes / 2
+    assert kept.size == 300
+    # the factor overwrites the lower triangle only, so the upper one
+    # shows the chunked scaling, bit for bit the unchunked one
+    assert np.array_equal(np.triu(G, 1), np.triu(want, 1))
 
 
 def test_factor_spd_shifts_a_singular_matrix_and_rejects_an_indefinite_one():

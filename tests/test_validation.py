@@ -90,6 +90,23 @@ def test_sample_rejects_unsupported_families():
         sample_upper_bound(gen_sphere_instance(1, seed=0), 0, seed=0)
 
 
+def test_sample_and_grid_accept_their_families_up_to_scale_and_order():
+    sphere, unit = gen_sphere_instance(2, seed=0), gen_unitnorm_instance(2, seed=0)
+    (g,), (u0, u1) = ((g for g, _ in p.constraints) for p in (sphere, unit))
+    for cons in (((g.scale(-2.5), "eq"),), ((u1, "eq"), (u0.scale(3.0), "eq"))):
+        p = CPOP(s=2, f=sphere.f, constraints=cons)
+        assert sample_upper_bound(p, 10, seed=0).samples == 10
+    one = gen_unitnorm_instance(1, seed=0)
+    ring = one.constraints[0][0].scale(-0.5)
+    assert grid_min_1d(CPOP(s=1, f=one.f, constraints=((ring, "eq"),)), 8) < np.inf
+    # a radius other than 1, a repeated or missing coordinate, or "ge"
+    off = g + CPolynomial(2, {((0, 0), (0, 0)): -1 + 0j})
+    for cons in (((off, "eq"),), ((u0, "eq"), (u0, "eq")), ((u0, "eq"),),
+                 ((g, "ge"),)):
+        with pytest.raises(ValueError, match="direct feasible sampling"):
+            sample_upper_bound(CPOP(s=2, f=sphere.f, constraints=cons), 10, seed=0)
+
+
 def test_sample_report_validation():
     with pytest.raises(ValueError, match="non-finite"):
         SampleReport(
