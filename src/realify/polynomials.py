@@ -161,26 +161,13 @@ class CPolynomial:
         return self.scale(-1.0)
 
     def eval(self, z) -> float:
-        """Value at a point, as the naive complex term sum.
-
-        The imaginary residue of the sum is checked against a scale-aware
-        1e-12 bound; exceeding it means the term map lost its symmetry.
-        """
+        """Value at a point: ``eval_many`` on a batch of one."""
         z = np.asarray(z, dtype=complex)
         if z.shape != (self.s,):
             raise ValueError(f"expected a point in C^{self.s}, got shape {z.shape}")
         if not np.isfinite(z).all():
             raise ValueError("point contains non-finite entries")
-        zc = np.conj(z)
-        total = 0j
-        for (beta, gamma), c in self.terms.items():
-            total += c * np.prod(z**np.array(beta)) * np.prod(zc ** np.array(gamma))
-        if abs(total.imag) > 1e-12 * (1.0 + abs(total)):
-            raise ValueError(
-                f"evaluation left imaginary residue {total.imag:.3e}; "
-                "term map is not Hermitian-symmetric"
-            )
-        return float(total.real)
+        return float(self.eval_many(z[None])[0])
 
     def eval_many(self, pts) -> np.ndarray:
         """Values at an (N, s) batch of points; vectorized over N."""

@@ -9,10 +9,13 @@ Solves programs of the form
 using an infeasible-start path-following method: a predictor-corrector
 iteration on the symmetrized complementarity X S = mu I with the dual-scaled
 search direction, a dense Schur complement for the row multipliers, and the
-free scalars carried natively in an augmented Schur system.  Both systems of
-a step, the Schur matrix M and the free reduction F' M^-1 F, are factored by
-one rule, a Cholesky with escalating diagonal shift, and each solve is
-refined against the unshifted system.  Everything is deterministic:
+free scalars carried natively in an augmented Schur system.  The rows are
+one sparse operator over the stacked columns vec(X_0), ..., vec(X_{B-1}), f,
+which every operator application, the presolve Gram and the Schur split
+read; a program without free scalars is the case of zero free columns.  Both
+systems of a step, the Schur matrix M and the free reduction F' M^-1 F, are
+factored by one rule, a Cholesky with escalating diagonal shift, and each
+solve is refined against the unshifted system.  Everything is deterministic:
 identical inputs and options reproduce identical iterates on a given
 platform.
 
@@ -72,6 +75,12 @@ class SolverOptions:
 class _Workspace:
     """Preprocessed solver data for one program.
 
+    The kept rows are one CSR operator ``A`` over the stacked columns
+    vec(X_0), ..., vec(X_{B-1}), f: block entry (b, i, j) at off[b] + i n_b
+    + j, with its mirror (j, i) off the diagonal, and free scalar k at
+    off[-1] + k.  ``F`` is a dense column-major copy of its free columns,
+    the layout LAPACK solves M^-1 F in; without free scalars it is m x 0.
+
     Presolve is one pass per variable kind, each a pivoted Cholesky of a
     Gram scaled to unit diagonal, the only factorization of that Gram.  The
     row pass drops rows whose coefficients are all zero and rows that are
@@ -89,35 +98,31 @@ class _Workspace:
     def __init__(self, prog: RealConicProgram):
         self.sizes = list(prog.psd_blocks)
         self.sign = -1.0 if prog.sense == "maximize" else 1.0
+        sizes = np.array(self.sizes, dtype=np.intp)
+        self.off = off = np.r_[0, np.cumsum(sizes * sizes)]
 
-        # Functional 0 is the objective, functional k + 1 is row k.  R[b]
-        # holds vec(A_kb) per row; used for all operator applications and
-        # the Schur assembly, each entry (i, j) with its mirror (j, i) when
-        # off the diagonal.  The same layout of the objective is C_b, and
-        # its free part is cf.
+        # Functional 0 is the objective (C_b and cf), functional k + 1 is
+        # row k.
         a = prog.functionals
-        counts, fcounts = np.diff(a.indptr), np.diff(a.free_indptr)
-        F = np.zeros((counts.size, prog.n_free))
-        F[np.repeat(np.arange(counts.size), fcounts), a.free_idx] = a.free_coef
-        self.cf, self.F = self.sign * F[0], F[1:]
-        fun = np.repeat(np.arange(counts.size), counts)
-        self.R, self.C = [], []
-        for b, n in enumerate(self.sizes):
-            sel = a.blk == b
-            off = sel & (a.i != a.j)
-            Rb = sp.csr_matrix((np.r_[a.coef[sel], a.coef[off]], (
-                np.r_[fun[sel], fun[off]],
-                np.r_[a.i[sel] * n + a.j[sel], a.j[off] * n + a.i[off]],
-            )), shape=(counts.size, n * n))
-            self.C.append((self.sign * Rb[0]).toarray().reshape(n, n))
-            self.R.append(Rb[1:])
+        at = np.arange(len(a.indptr) - 1)
+        fun, mirror = np.repeat(at, np.diff(a.indptr)), a.i != a.j
+
+        def col(i, j):
+            return off[a.blk] + i * sizes[a.blk] + j
+
+        self.A = sp.csr_matrix((
+            np.r_[a.coef, a.coef[mirror], a.free_coef],
+            (np.r_[fun, fun[mirror], np.repeat(at, np.diff(a.free_indptr))],
+             np.r_[col(a.i, a.j), col(a.j, a.i)[mirror], off[-1] + a.free_idx]),
+        ), shape=(at.size, off[-1] + prog.n_free))
+        c = self.sign * self.A[0].toarray().ravel()
+        self.C = [c[o:o + n * n].reshape(n, n) for o, n in zip(off, self.sizes)]
+        self.cf = c[off[-1]:]
+        self.A = self.A[1:]
 
         # The row Gram's diagonal holds the squared row norms; a zero marks
         # an empty row, which with a nonzero rhs certifies infeasibility.
-        G = np.zeros((prog.n_rows, prog.n_rows), order="F")
-        for Rb in self.R:
-            G += (Rb @ Rb.T).toarray()
-        G += self.F @ self.F.T
+        G = (self.A @ self.A.T).toarray(order="F")
         norms = np.sqrt(np.diag(G))
         self.active = _independent(G)
         dropped = np.delete(np.arange(prog.n_rows), self.active)
@@ -127,30 +132,28 @@ class _Workspace:
         self.infeasible = bool(np.any(np.abs(prog.rhs[empty]) > _TINY))
         self.m = int(self.active.size)
         self.b, self.row_norms = prog.rhs[self.active], norms[self.active]
-        # column-major, the layout LAPACK solves M^-1 F in every iteration
-        self.F = np.asfortranarray(self.F[self.active])
-        self.R = [Rb[self.active] for Rb in self.R]
-
+        self.A = self.A[self.active]
+        self.F = np.asfortranarray(self.A[:, off[-1]:].toarray())
         self.free_idx = np.arange(prog.n_free)
         self.nf = prog.n_free
-        if self.nf:
-            self._reduce_free_columns()
+        self._reduce_free_columns()
 
         # Rows with more than n stored entries are dense (densified per
         # chunk); the others keep left-aligned, zero-padded entry lists.
         self.schur_rows = []
-        for b, n in enumerate(self.sizes):
-            nnz = np.diff(self.R[b].indptr)
+        for o, n in zip(off, self.sizes):
+            Ab = self.A[:, o:o + n * n]
+            nnz = np.diff(Ab.indptr)
             dense = np.flatnonzero(nnz > n)
             sparse = np.flatnonzero((nnz > 0) & (nnz <= n))
-            Rs = self.R[b][sparse]
+            Rs = Ab[sparse]
             row = np.repeat(np.arange(sparse.size), np.diff(Rs.indptr))
             slot = row, np.arange(Rs.nnz) - Rs.indptr[row]
             pos = np.zeros((sparse.size, int(nnz[sparse].max(initial=0))), dtype=int)
             coef = np.zeros(pos.shape)
             pos[slot], coef[slot] = Rs.indices, Rs.data
             self.schur_rows.append(
-                (dense, self.R[b][dense], sparse, Rs, pos // n, pos % n, coef)
+                (dense, Ab[dense], sparse, Rs, pos // n, pos % n, coef)
             )
 
         self.N = sum(self.sizes) if self.sizes else 1
@@ -184,17 +187,17 @@ class _Workspace:
         self.F = Fk
         self.cf = self.cf[kept]
         self.nf = int(kept.size)
+        self.A = self.A[:, np.r_[:self.off[-1], self.off[-1] + kept]]
 
     def apply(self, Xs, f):
-        out = np.zeros(self.m)
-        for b in range(len(self.sizes)):
-            out += self.R[b] @ Xs[b].ravel()
-        if self.nf:
-            out += self.F @ f
-        return out
+        return self.A @ np.concatenate([X.ravel() for X in Xs] + [f])
 
     def apply_adjoint(self, y):
-        return [(Rb.T @ y).reshape(n, n) for Rb, n in zip(self.R, self.sizes)]
+        """A*(y) per block, and F'y."""
+        v = self.A.T @ y
+        return [
+            v[o:o + n * n].reshape(n, n) for o, n in zip(self.off, self.sizes)
+        ], v[self.off[-1]:]
 
     def schur(self, Xs, Sinvs):
         """M[k, l] = sum_b <A_kb, X_b A_lb S_b^-1>.
@@ -465,9 +468,9 @@ def _solve_direct(prog: RealConicProgram, opts: SolverOptions) -> SolveResult:
     for it in range(opts.max_iter):
         iters = it
         rp = ws.b - ws.apply(Xs, f)
-        ATy = ws.apply_adjoint(y)
+        ATy, Fty = ws.apply_adjoint(y)
         Rd = [ws.C[b] - Ss[b] - ATy[b] for b in range(len(ws.sizes))]
-        rdf = ws.cf - ws.F.T @ y if ws.nf else np.zeros(0)
+        rdf = ws.cf - Fty
 
         pobj = sum(float(np.tensordot(ws.C[b], Xs[b])) for b in range(len(ws.sizes)))
         pobj += float(ws.cf @ f)
@@ -526,13 +529,12 @@ def _solve_direct(prog: RealConicProgram, opts: SolverOptions) -> SolveResult:
         Mf = _factor_spd(M)
         if Mf is None:
             break
-        if ws.nf:
-            # F' M^-1 F goes ill-conditioned like 1/mu^2 near an optimum;
-            # the shifted Cholesky and the refinement below absorb that.
-            Gmat = sla.cho_solve(Mf, ws.F, check_finite=False)
-            Hf = _factor_spd(ws.F.T @ Gmat)
-            if Hf is None:
-                break
+        # F' M^-1 F goes ill-conditioned like 1/mu^2 near an optimum; the
+        # shifted Cholesky and the refinement below absorb that.
+        Gmat = sla.cho_solve(Mf, ws.F, check_finite=False)
+        Hf = _factor_spd(ws.F.T @ Gmat)
+        if Hf is None:
+            break
 
         def solve_aug(h, g):
             # Block elimination on [[M, F], [F', 0]], plus iterative
@@ -540,19 +542,12 @@ def _solve_direct(prog: RealConicProgram, opts: SolverOptions) -> SolveResult:
             # lost to the stabilizing shifts in the factorizations).
             def once(h1, g1):
                 t1 = sla.cho_solve(Mf, h1, check_finite=False)
-                if ws.nf == 0:
-                    return t1, np.zeros(0)
                 df = sla.cho_solve(Hf, ws.F.T @ t1 - g1, check_finite=False)
                 return t1 - Gmat @ df, df
 
             dy, df = once(h, g)
             for _ in range(2):
-                rh = h - M @ dy
-                rg = g
-                if ws.nf:
-                    rh = rh - ws.F @ df
-                    rg = g - ws.F.T @ dy
-                e1, e2 = once(rh, rg)
+                e1, e2 = once(h - M @ dy - ws.F @ df, g - ws.F.T @ dy)
                 dy = dy + e1
                 df = df + e2
             return dy, df
@@ -566,7 +561,7 @@ def _solve_direct(prog: RealConicProgram, opts: SolverOptions) -> SolveResult:
                 for b in range(len(ws.sizes))
             ]
             dy, df = solve_aug(rp - ws.apply(V, zero_free), rdf)
-            ATdy = ws.apply_adjoint(dy)
+            ATdy, _ = ws.apply_adjoint(dy)
             dS = [Rd[b] - ATdy[b] for b in range(len(ws.sizes))]
             dX = [
                 _sym(V[b] + _sym(Xs[b] @ ATdy[b] @ Sinvs[b]))
@@ -621,8 +616,7 @@ def _solve_direct(prog: RealConicProgram, opts: SolverOptions) -> SolveResult:
             Xs[b] = _sym(Xs[b] + ap * dX[b])
             Ss[b] = _sym(Ss[b] + ad * dS[b])
         y = y + ad * dy
-        if ws.nf:
-            f = f + ap * df
+        f = f + ap * df
 
     if best is not None:
         Xb, fb, yb, resb, itb = best

@@ -504,19 +504,31 @@ def test_row_matrices_hold_each_entry_and_its_mirror():
     )
     prog = RealConicProgram(
         psd_blocks=base.psd_blocks, n_free=base.n_free,
-        rows=(Row(),) + shuffled, objective=base.objective, sense=base.sense,
+        rows=(Row(),) + shuffled, sense="maximize",
+        objective=LinearFunctional(shuffled[0].entries, ((2, 0.5), (0, -1.5))),
     )
     ws = _Workspace(prog)
     assert ws.active[0] == 1
-    for b, n in enumerate(prog.psd_blocks):
-        want = np.zeros((len(ws.active), n * n))
-        for kk, k in enumerate(ws.active):
-            for bb, i, j, c in prog.rows[k].entries:
-                if bb == b:
-                    want[kk, i * n + j] = want[kk, j * n + i] = c
-        assert ws.R[b].has_canonical_format
-        assert np.array_equal(ws.R[b].toarray(), want)
-        assert ws.R[b].nnz == np.count_nonzero(want)
+
+    def stacked(fun):
+        # vec(X_0), ..., vec(X_{B-1}), then the kept free scalars
+        blocks = [np.zeros((n, n)) for n in prog.psd_blocks]
+        for b, i, j, c in fun.entries:
+            blocks[b][i, j] = blocks[b][j, i] = c
+        free = np.zeros(prog.n_free)
+        for k, c in fun.free:
+            free[k] = c
+        return np.concatenate([X.ravel() for X in blocks] + [free[ws.free_idx]])
+
+    want = np.array([stacked(prog.rows[k]) for k in ws.active])
+    assert ws.A.has_canonical_format
+    assert np.array_equal(ws.A.toarray(), want)
+    assert ws.A.nnz == np.count_nonzero(want)
+    assert ws.F.flags.f_contiguous
+    assert np.array_equal(ws.F, want[:, ws.off[-1]:])
+    # the objective of a maximize program enters negated
+    got = np.concatenate([C.ravel() for C in ws.C] + [ws.cf])
+    assert np.array_equal(got, -stacked(prog.objective))
 
 
 def test_row_presolve_makes_no_gram_sized_temporary():
@@ -539,6 +551,21 @@ def test_row_presolve_makes_no_gram_sized_temporary():
     # the factor overwrites the lower triangle only, so the upper one
     # shows the chunked scaling, bit for bit the unchunked one
     assert np.array_equal(np.triu(G, 1), np.triu(want, 1))
+
+
+def test_workspace_makes_no_second_gram_sized_temporary():
+    # sphere (5,2) naive carries free multipliers; its row Gram is 6.5 MB
+    prog = assemble_hsos(gen_sphere_instance(5, 1), 2, "naive").program
+    assert prog.n_free
+    gram = prog.n_rows**2 * 8
+    tracemalloc.start()
+    try:
+        base = tracemalloc.get_traced_memory()[0]
+        _Workspace(prog)
+        peak = tracemalloc.get_traced_memory()[1] - base
+    finally:
+        tracemalloc.stop()
+    assert peak < 1.5 * gram
 
 
 def test_factor_spd_shifts_a_singular_matrix_and_rejects_an_indefinite_one():
