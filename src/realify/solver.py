@@ -8,16 +8,14 @@ Solves programs of the form
 
 using an infeasible-start path-following method: a predictor-corrector
 iteration on the symmetrized complementarity X S = mu I with the dual-scaled
-search direction, a dense Schur complement for the row multipliers, and the
-free scalars carried natively in an augmented Schur system.  The rows are
-one sparse operator over the stacked columns vec(X_0), ..., vec(X_{B-1}), f,
-which every operator application, the presolve Gram and the Schur split
-read; a program without free scalars is the case of zero free columns.  Both
-systems of a step, the Schur matrix M and the free reduction F' M^-1 F, are
-factored by one rule, a Cholesky with escalating diagonal shift, and each
-solve is refined against the unshifted system.  Everything is deterministic:
-identical inputs and options reproduce identical iterates on a given
-platform.
+search direction and a dense Schur complement M for the row multipliers.
+Presolve solves each free scalar out of one pivot row, so the iteration
+carries PSD blocks and rows only; the rows are one sparse operator over the
+stacked columns vec(X_0), ..., vec(X_{B-1}), which every operator
+application and the Schur split read.  M is factored by a Cholesky with
+escalating diagonal shift, and each solve is refined against the unshifted
+M.  Everything is deterministic: identical inputs and options reproduce
+identical iterates on a given platform.
 
 Designed for desk-scale problems (block dimension up to a few hundred, row
 counts in the low tens of thousands).  The Schur matrix is held dense but
@@ -39,7 +37,7 @@ import numpy as np
 import scipy.linalg as sla
 import scipy.sparse as sp
 
-from .program import RealConicProgram, SolveResult
+from .program import RealConicProgram, SolveResult, _values
 
 __all__ = ["SolverOptions", "solve"]
 
@@ -76,23 +74,29 @@ class _Workspace:
     """Preprocessed solver data for one program.
 
     The kept rows are one CSR operator ``A`` over the stacked columns
-    vec(X_0), ..., vec(X_{B-1}), f: block entry (b, i, j) at off[b] + i n_b
-    + j, with its mirror (j, i) off the diagonal, and free scalar k at
-    off[-1] + k.  ``F`` is a dense column-major copy of its free columns,
-    the layout LAPACK solves M^-1 F in; without free scalars it is m x 0.
+    vec(X_0), ..., vec(X_{B-1}): block entry (b, i, j) at off[b] + i n_b + j,
+    with its mirror (j, i) off the diagonal.  No free scalar is left in it.
 
     Presolve is one pass per variable kind, each a pivoted Cholesky of a
     Gram scaled to unit diagonal, the only factorization of that Gram.  The
     row pass drops rows whose coefficients are all zero and rows that are
     linear combinations of earlier ones; dependent but consistent rows
     would otherwise make the Schur system singular and let the multipliers
-    drift along its null space.  The free-column pass drops free scalars
-    whose columns are zero or combinations of earlier ones (the equality
+    drift along its null space.  The free pass drops free scalars whose
+    columns are zero or combinations of earlier ones (the equality
     multipliers of a moment relaxation carry such syzygies,
-    g_j H_i = g_i H_j).  Dropped rows report a zero multiplier and are
-    re-checked in the final residuals; dropped scalars are reported as zero.
-    Each block's rows are then split once, by stored entries, into the
-    dense and sparse rows of the Schur assembly.
+    g_j H_i = g_i H_j); a dropped scalar whose price the kept columns do
+    not match, to 1e-9 relative, makes the stated sense unbounded.  It then
+    solves each kept scalar out of one pivot row, picked by LU with partial
+    pivoting of the kept columns F (Kobayashi, Nakata and Kojima, Comput.
+    Optim. Appl. 36, 2007).  With T = F_R F_P^-1 the other rows R become
+    (A_R - T A_P) x = b_R - T b_P, and with g = F_P^-T cf the objective
+    becomes <c - A_P' g, x> + g.b_P, so the iteration sees PSD blocks and
+    rows only.  ``finish`` recovers f = F_P^-1 (b_P - A_P x) and the pivot
+    rows' multipliers g - T'y.  Dropped rows report a zero multiplier and
+    are re-checked in the final residuals; dropped scalars are reported as
+    zero.  Each block's rows are then split once, by stored entries, into
+    the dense and sparse rows of the Schur assembly.
     """
 
     def __init__(self, prog: RealConicProgram):
@@ -101,8 +105,8 @@ class _Workspace:
         sizes = np.array(self.sizes, dtype=np.intp)
         self.off = off = np.r_[0, np.cumsum(sizes * sizes)]
 
-        # Functional 0 is the objective (C_b and cf), functional k + 1 is
-        # row k.
+        # Functional 0 is the objective (c and cf), functional k + 1 is
+        # row k; the free scalars' columns follow the blocks'.
         a = prog.functionals
         at = np.arange(len(a.indptr) - 1)
         fun, mirror = np.repeat(at, np.diff(a.indptr)), a.i != a.j
@@ -110,33 +114,57 @@ class _Workspace:
         def col(i, j):
             return off[a.blk] + i * sizes[a.blk] + j
 
-        self.A = sp.csr_matrix((
+        A = sp.csr_matrix((
             np.r_[a.coef, a.coef[mirror], a.free_coef],
             (np.r_[fun, fun[mirror], np.repeat(at, np.diff(a.free_indptr))],
              np.r_[col(a.i, a.j), col(a.j, a.i)[mirror], off[-1] + a.free_idx]),
         ), shape=(at.size, off[-1] + prog.n_free))
-        c = self.sign * self.A[0].toarray().ravel()
-        self.C = [c[o:o + n * n].reshape(n, n) for o, n in zip(off, self.sizes)]
-        self.cf = c[off[-1]:]
-        self.A = self.A[1:]
+        c = self.sign * A[0].toarray().ravel()
+        A = A[1:]
 
         # The row Gram's diagonal holds the squared row norms; a zero marks
         # an empty row, which with a nonzero rhs certifies infeasibility.
-        G = (self.A @ self.A.T).toarray(order="F")
+        G = (A @ A.T).toarray(order="F")
         norms = np.sqrt(np.diag(G))
         self.active = _independent(G)
+        del G
         dropped = np.delete(np.arange(prog.n_rows), self.active)
         empty = dropped[norms[dropped] == 0.0]
         self.dropped_empty = empty.tolist()
         self.dropped_dependent = np.setdiff1d(dropped, empty).tolist()
         self.infeasible = bool(np.any(np.abs(prog.rhs[empty]) > _TINY))
-        self.m = int(self.active.size)
-        self.b, self.row_norms = prog.rhs[self.active], norms[self.active]
-        self.A = self.A[self.active]
-        self.F = np.asfortranarray(self.A[:, off[-1]:].toarray())
-        self.free_idx = np.arange(prog.n_free)
-        self.nf = prog.n_free
-        self._reduce_free_columns()
+        A = A[self.active]
+
+        F, cf = A[:, off[-1]:].toarray(), c[off[-1]:]
+        self.free_idx = _independent(F.T @ F)
+        dropped = np.delete(np.arange(prog.n_free), self.free_idx)
+        if dropped.size:
+            W = np.linalg.lstsq(F[:, self.free_idx], F[:, dropped], rcond=None)[0]
+            mismatch = cf[dropped] - W.T @ cf[self.free_idx]
+            tol_cf = 1e-9 * (1.0 + float(np.abs(cf).max(initial=0.0)))
+            self.infeasible |= float(np.abs(mismatch).max()) > tol_cf
+        F, cf = F[:, self.free_idx], cf[self.free_idx]
+        k = cf.size
+        # F = L[p] U: row r of F is pivot p[r] when p[r] < k; an m x 0 F
+        # gives an empty p
+        p, L, U = sla.lu(F, p_indices=True)
+        p = p if p.size else np.arange(self.active.size)
+        piv, rest = np.argsort(p)[:k], np.flatnonzero(p >= k)
+        # F_P = L[:k] U, in lu_factor's layout with no further row swaps
+        self.lu = np.tril(L[:k], -1) + U, np.arange(k)
+        self.T = sp.csr_matrix(sla.lu_solve(self.lu, F[rest].T, trans=1).T)
+        self.g = sla.lu_solve(self.lu, cf, trans=1)
+        A = A[:, :off[-1]]
+        self.A_P, self.b_P = A[piv], prog.rhs[self.active[piv]]
+        self.pivots, self.rows = self.active[piv], self.active[rest]
+        self.A = A[rest] - self.T @ self.A_P
+        self.A.sum_duplicates()  # sorted indices, as the one-call build has
+        self.b = prog.rhs[self.rows] - self.T @ self.b_P
+        self.row_norms = norms[self.rows]
+        c = c[:off[-1]] - self.A_P.T @ self.g
+        self.C = [c[o:o + n * n].reshape(n, n) for o, n in zip(off, self.sizes)]
+        self.const = float(self.g @ self.b_P)
+        self.m = int(rest.size)
 
         # Rows with more than n stored entries are dense (densified per
         # chunk); the others keep left-aligned, zero-padded entry lists.
@@ -157,47 +185,15 @@ class _Workspace:
             )
 
         self.N = sum(self.sizes) if self.sizes else 1
-        self.C_norm = max(float(np.linalg.norm(Cb)) for Cb in self.C + [self.cf])
+        self.C_norm = max((float(np.linalg.norm(Cb)) for Cb in self.C), default=0.0)
 
-    def _reduce_free_columns(self) -> None:
-        """Drop free columns that are zero or combinations of earlier ones.
-
-        A rank-deficient free block leaves the Schur reduction F' M^-1 F
-        singular and the free directions underdetermined; the resulting
-        null-space excursions wreck the step arithmetic.  Dropped columns
-        can be removed without changing the optimum provided the objective
-        is consistent along the dependency; otherwise the stated sense is
-        unbounded (a priced scalar in no kept row is the plainest case),
-        which the caller reports.  The tolerance on that check, 1e-9
-        relative, sits above the lstsq rounding of kept columns as
-        ill-conditioned as the rank tolerance admits.  The removed scalars
-        are fixed at zero in the returned solution.
-        """
-        kept = _independent(self.F.T @ self.F)
-        if kept.size == self.nf:
-            return
-        dropped = np.setdiff1d(np.arange(self.nf), kept)
-        Fk = self.F[:, kept]
-        W = np.linalg.lstsq(Fk, self.F[:, dropped], rcond=None)[0]
-        mismatch = self.cf[dropped] - W.T @ self.cf[kept]
-        tol_cf = 1e-9 * (1.0 + float(np.abs(self.cf).max(initial=0.0)))
-        if float(np.abs(mismatch).max(initial=0.0)) > tol_cf:
-            self.infeasible = True
-        self.free_idx = self.free_idx[kept]
-        self.F = Fk
-        self.cf = self.cf[kept]
-        self.nf = int(kept.size)
-        self.A = self.A[:, np.r_[:self.off[-1], self.off[-1] + kept]]
-
-    def apply(self, Xs, f):
-        return self.A @ np.concatenate([X.ravel() for X in Xs] + [f])
+    def apply(self, Xs):
+        return self.A @ _vec(Xs)
 
     def apply_adjoint(self, y):
-        """A*(y) per block, and F'y."""
+        """A*(y) per block."""
         v = self.A.T @ y
-        return [
-            v[o:o + n * n].reshape(n, n) for o, n in zip(self.off, self.sizes)
-        ], v[self.off[-1]:]
+        return [v[o:o + n * n].reshape(n, n) for o, n in zip(self.off, self.sizes)]
 
     def schur(self, Xs, Sinvs):
         """M[k, l] = sum_b <A_kb, X_b A_lb S_b^-1>.
@@ -233,6 +229,11 @@ class _Workspace:
                 W = (U @ Sinv[q[ent]]).reshape(len(U), -1)
                 _add_block(M, sparse, sparse[cols], Rs @ W.T)
         return 0.5 * (M + M.T)
+
+
+def _vec(Xs) -> np.ndarray:
+    """The stacked columns vec(X_0), ..., vec(X_{B-1})."""
+    return np.concatenate([X.ravel() for X in Xs] + [np.zeros(0)])
 
 
 def _add_block(M: np.ndarray, rows: np.ndarray, cols: np.ndarray, T) -> None:
@@ -301,15 +302,15 @@ def _finish(prog, opts, status, Xs, f_full, dual, res, iters, presolve) -> Solve
     presolved-away row the solution misses demotes "optimal" to "infeasible"."""
     blocks = tuple(_sym(X) for X in Xs)
     res = dict(res)
+    values = _values(prog.functionals, blocks, f_full)
     if prog.n_rows:
-        resid = prog.row_residuals(blocks, f_full)
+        resid = values[1:] - prog.rhs
         full_p = float(np.abs(resid).max()) / (1.0 + float(np.abs(prog.rhs).max()))
         res["primal_inf"] = full_p
         if status == "optimal" and full_p > 10.0 * opts.tol_primal:
             status = "infeasible"
     return SolveResult(
-        status, prog.objective.value(blocks, f_full), blocks, f_full, dual, res,
-        iters, presolve,
+        status, float(values[0]), blocks, f_full, dual, res, iters, presolve,
     )
 
 
@@ -399,12 +400,15 @@ def _solve_direct(prog: RealConicProgram, opts: SolverOptions) -> SolveResult:
     """Run the interior-point method on ``prog`` itself."""
     ws = _Workspace(prog)
 
-    def finish(status, Xs, f, y, res, iters):
-        full_dual = np.zeros(prog.n_rows)
-        if y is not None and ws.m:
-            full_dual[ws.active] = -y if prog.sense == "maximize" else y
+    def finish(status, Xs, y, res, iters):
+        # the eliminated scalars from the pivot rows, and those rows'
+        # multipliers from the others'
         f_full = np.zeros(prog.n_free)
-        f_full[ws.free_idx] = f
+        f_full[ws.free_idx] = sla.lu_solve(ws.lu, ws.b_P - ws.A_P @ _vec(Xs))
+        full_dual = np.zeros(prog.n_rows)
+        if y is not None:
+            full_dual[ws.rows] = ws.sign * y
+            full_dual[ws.pivots] = ws.sign * (ws.g - ws.T.T @ y)
         return _finish(prog, opts, status, Xs, f_full, full_dual, res, iters, dict(
             dropped_empty=ws.dropped_empty, dropped_dependent=ws.dropped_dependent,
             dropped_free=np.delete(np.arange(prog.n_free), ws.free_idx).tolist(),
@@ -412,29 +416,27 @@ def _solve_direct(prog: RealConicProgram, opts: SolverOptions) -> SolveResult:
         ))
 
     zero_blocks = [np.zeros((n, n)) for n in ws.sizes]
-    zero_free = np.zeros(ws.nf)
     if ws.infeasible:
         # An empty row with nonzero rhs, or a priced free scalar that the
         # kept rows leave unbounded in the stated sense.
         return finish(
-            "infeasible", zero_blocks, zero_free, None,
+            "infeasible", zero_blocks, None,
             {"primal_inf": 0.0, "dual_inf": 0.0, "gap": np.inf}, 0,
         )
 
     if ws.m == 0:
         # Pure feasibility in the PSD cone: 0 is optimal iff no improving
-        # ray exists, i.e. the internal objective is PSD blockwise with no
-        # free-variable gradient.
+        # ray exists, i.e. the internal objective is PSD blockwise.
         lmin = min(
             (float(np.linalg.eigvalsh(Cb)[0]) for Cb in ws.C), default=0.0
         )
         if lmin < -1e-12:
             return finish(
-                "infeasible", zero_blocks, zero_free, None,
+                "infeasible", zero_blocks, None,
                 {"primal_inf": 0.0, "dual_inf": 0.0, "gap": np.inf}, 0,
             )
         return finish(
-            "optimal", zero_blocks, zero_free, np.zeros(0),
+            "optimal", zero_blocks, np.zeros(0),
             {"primal_inf": 0.0, "dual_inf": 0.0, "gap": 0.0}, 0,
         )
 
@@ -449,12 +451,10 @@ def _solve_direct(prog: RealConicProgram, opts: SolverOptions) -> SolveResult:
     Xs = [xi_p * np.eye(n) for n in ws.sizes]
     Ss = [xi_d * np.eye(n) for n in ws.sizes]
     y = np.zeros(ws.m)
-    f = np.zeros(ws.nf)
 
     b_scale = 1.0 + float(np.abs(ws.b).max(initial=0.0))
     c_scale = 1.0 + max(
-        max((float(np.abs(Cb).max(initial=0.0)) for Cb in ws.C), default=0.0),
-        float(np.abs(ws.cf).max(initial=0.0)),
+        (float(np.abs(Cb).max(initial=0.0)) for Cb in ws.C), default=0.0
     )
 
     best = None
@@ -462,23 +462,19 @@ def _solve_direct(prog: RealConicProgram, opts: SolverOptions) -> SolveResult:
     stall = 0
     no_gain = 0
     res = {"primal_inf": np.inf, "dual_inf": np.inf, "gap": np.inf}
-    status = "max_iter"
-    iters = 0
 
     for it in range(opts.max_iter):
-        iters = it
-        rp = ws.b - ws.apply(Xs, f)
-        ATy, Fty = ws.apply_adjoint(y)
+        rp = ws.b - ws.apply(Xs)
+        ATy = ws.apply_adjoint(y)
         Rd = [ws.C[b] - Ss[b] - ATy[b] for b in range(len(ws.sizes))]
-        rdf = ws.cf - Fty
 
-        pobj = sum(float(np.tensordot(ws.C[b], Xs[b])) for b in range(len(ws.sizes)))
-        pobj += float(ws.cf @ f)
-        dobj = float(ws.b @ y)
+        pobj = ws.const + sum(
+            float(np.tensordot(ws.C[b], Xs[b])) for b in range(len(ws.sizes))
+        )
+        dobj = ws.const + float(ws.b @ y)
         primal_inf = float(np.abs(rp).max(initial=0.0)) / b_scale
         dual_inf = max(
-            max((float(np.abs(R).max(initial=0.0)) for R in Rd), default=0.0),
-            float(np.abs(rdf).max(initial=0.0)),
+            (float(np.abs(R).max(initial=0.0)) for R in Rd), default=0.0
         ) / c_scale
         gap = abs(pobj - dobj) / (1.0 + abs(pobj) + abs(dobj))
         res = {"primal_inf": primal_inf, "dual_inf": dual_inf, "gap": gap}
@@ -486,7 +482,7 @@ def _solve_direct(prog: RealConicProgram, opts: SolverOptions) -> SolveResult:
         score = max(primal_inf, dual_inf, gap)
         if score < best_score:
             best_score = score
-            best = ([X.copy() for X in Xs], f.copy(), y.copy(), dict(res), it)
+            best = ([X.copy() for X in Xs], y.copy(), dict(res))
             no_gain = 0
         else:
             # Iterates drifting without improving the best score signal
@@ -500,16 +496,15 @@ def _solve_direct(prog: RealConicProgram, opts: SolverOptions) -> SolveResult:
             and dual_inf <= opts.tol_dual
             and gap <= opts.tol_gap
         ):
-            status = "optimal"
-            return finish(status, Xs, f, y, res, it)
+            return finish("optimal", Xs, y, res, it)
 
         # Divergence heuristics: an exploding dual objective with tiny dual
         # residual certifies primal infeasibility; the mirror image flags an
         # unbounded (dual-infeasible) program.
         if dobj > 1e13 * b_scale and dual_inf < 1e-6:
-            return finish("infeasible", Xs, f, y, res, it)
+            return finish("infeasible", Xs, y, res, it)
         if pobj < -1e13 * c_scale and primal_inf < 1e-6:
-            return finish("infeasible", Xs, f, y, res, it)
+            return finish("infeasible", Xs, y, res, it)
         if not np.isfinite(score):
             break
 
@@ -529,28 +524,14 @@ def _solve_direct(prog: RealConicProgram, opts: SolverOptions) -> SolveResult:
         Mf = _factor_spd(M)
         if Mf is None:
             break
-        # F' M^-1 F goes ill-conditioned like 1/mu^2 near an optimum; the
-        # shifted Cholesky and the refinement below absorb that.
-        Gmat = sla.cho_solve(Mf, ws.F, check_finite=False)
-        Hf = _factor_spd(ws.F.T @ Gmat)
-        if Hf is None:
-            break
 
-        def solve_aug(h, g):
-            # Block elimination on [[M, F], [F', 0]], plus iterative
-            # refinement against the unfactored system (recovers the digits
-            # lost to the stabilizing shifts in the factorizations).
-            def once(h1, g1):
-                t1 = sla.cho_solve(Mf, h1, check_finite=False)
-                df = sla.cho_solve(Hf, ws.F.T @ t1 - g1, check_finite=False)
-                return t1 - Gmat @ df, df
-
-            dy, df = once(h, g)
+        def solve_schur(h):
+            # refined against the unshifted M, which recovers the digits
+            # lost to the factorization's stabilizing shift
+            dy = sla.cho_solve(Mf, h, check_finite=False)
             for _ in range(2):
-                e1, e2 = once(h - M @ dy - ws.F @ df, g - ws.F.T @ dy)
-                dy = dy + e1
-                df = df + e2
-            return dy, df
+                dy = dy + sla.cho_solve(Mf, h - M @ dy, check_finite=False)
+            return dy
 
         def direction(sigma_mu, extras):
             # dX = V + sym(X A*(dy) S^-1), with V collecting every dX term
@@ -560,14 +541,14 @@ def _solve_direct(prog: RealConicProgram, opts: SolverOptions) -> SolveResult:
                 - _sym((Xs[b] @ Rd[b] + extras[b]) @ Sinvs[b])
                 for b in range(len(ws.sizes))
             ]
-            dy, df = solve_aug(rp - ws.apply(V, zero_free), rdf)
-            ATdy, _ = ws.apply_adjoint(dy)
+            dy = solve_schur(rp - ws.apply(V))
+            ATdy = ws.apply_adjoint(dy)
             dS = [Rd[b] - ATdy[b] for b in range(len(ws.sizes))]
             dX = [
                 _sym(V[b] + _sym(Xs[b] @ ATdy[b] @ Sinvs[b]))
                 for b in range(len(ws.sizes))
             ]
-            return dX, dS, dy, df
+            return dX, dS, dy
 
         def max_steps(dX, dS):
             # raises LinAlgError when X or S has lost definiteness
@@ -578,7 +559,7 @@ def _solve_direct(prog: RealConicProgram, opts: SolverOptions) -> SolveResult:
             )
 
         zeros = [np.zeros((n, n)) for n in ws.sizes]
-        dX_a, dS_a, _, _ = direction(0.0, zeros)
+        dX_a, dS_a, _ = direction(0.0, zeros)
         try:
             ap, ad = max_steps(dX_a, dS_a)
         except np.linalg.LinAlgError:
@@ -597,7 +578,7 @@ def _solve_direct(prog: RealConicProgram, opts: SolverOptions) -> SolveResult:
         gamma = min(0.98, 0.9 + 0.09 * min(ap, ad))
 
         extras = [dX_a[b] @ dS_a[b] for b in range(len(ws.sizes))]
-        dX, dS, dy, df = direction(sigma * mu, extras)
+        dX, dS, dy = direction(sigma * mu, extras)
         try:
             ap, ad = max_steps(dX, dS)
         except np.linalg.LinAlgError:
@@ -616,12 +597,9 @@ def _solve_direct(prog: RealConicProgram, opts: SolverOptions) -> SolveResult:
             Xs[b] = _sym(Xs[b] + ap * dX[b])
             Ss[b] = _sym(Ss[b] + ad * dS[b])
         y = y + ad * dy
-        f = f + ap * df
-
+    else:
+        return finish("max_iter", *best, opts.max_iter)
+    # a breakdown in pass it leaves it steps taken
     if best is not None:
-        Xb, fb, yb, resb, itb = best
-        final = "max_iter" if iters >= opts.max_iter - 1 else "numerical"
-        return finish(final, Xb, fb, yb, resb, iters + 1)
-    return finish(
-        "numerical", zero_blocks, zero_free, None, res, iters + 1
-    )
+        return finish("numerical", *best, it)
+    return finish("numerical", zero_blocks, None, res, it)

@@ -371,6 +371,22 @@ def test_max_iter_exhaustion_reports_best_iterate():
     assert np.isfinite(res.objective)
 
 
+@pytest.mark.parametrize("k", [0, 3])
+def test_breakdown_reports_the_steps_taken(monkeypatch, k):
+    # the (k + 1)-th Schur factorization fails, after k steps
+    calls = []
+
+    def failing(M):
+        if M.size:
+            calls.append(M)
+        return None if len(calls) == k + 1 else _factor_spd(M)
+
+    monkeypatch.setattr("realify.solver._factor_spd", failing)
+    res = solve(max_corner_program())
+    assert res.status == "numerical"
+    assert res.iterations == k
+
+
 def test_solver_options_validate():
     with pytest.raises(ValueError):
         SolverOptions(tol_gap=0.0)
@@ -437,16 +453,14 @@ def rows_of_kinds(rng, sizes, kinds, n_free):
     )
 
 
-def schur_reference(prog, active, Xs, Sinvs):
-    """M[k, l] = sum_b <A_kb, X_b A_lb S_b^-1> from dense coefficient matrices."""
-    M = np.zeros((len(active), len(active)))
-    for b, n in enumerate(prog.psd_blocks):
-        A = np.zeros((len(active), n, n))
-        for kk, k in enumerate(active):
-            for bb, i, j, c in prog.rows[k].entries:
-                if bb == b:
-                    A[kk, i, j] = A[kk, j, i] = c
-        M += np.tensordot(A, Xs[b] @ A @ Sinvs[b], axes=([1, 2], [1, 2]))
+def schur_reference(ws, Xs, Sinvs):
+    """M[k, l] = sum_b <A_kb, X_b A_lb S_b^-1> from dense coefficient matrices
+    of the workspace's rows."""
+    A = ws.A.toarray()
+    M = np.zeros((ws.m, ws.m))
+    for b, n in enumerate(ws.sizes):
+        Ab = A[:, ws.off[b]:ws.off[b + 1]].reshape(-1, n, n)
+        M += np.tensordot(Ab, Xs[b] @ Ab @ Sinvs[b], axes=([1, 2], [1, 2]))
     return M
 
 
@@ -485,13 +499,14 @@ def test_schur_matrix_matches_the_trace_formula(sizes, kinds):
         Xs.append(g @ g.T + n * np.eye(n))
         Sinvs.append(np.linalg.inv(h @ h.T + n * np.eye(n)))
     M = ws.schur(Xs, Sinvs)
-    ref = schur_reference(prog, ws.active, Xs, Sinvs)
+    ref = schur_reference(ws, Xs, Sinvs)
     scale = np.abs(ref).max()
     assert np.abs(np.diag(M) - np.diag(ref)).max() <= 1e-12 * scale
     assert np.abs(M - ref).max() <= 1e-12 * scale
-    # rows with free scalars only have no Schur entries
-    free_only = [kk for kk, k in enumerate(ws.active) if not prog.rows[k].entries]
-    assert free_only and not M[free_only].any()
+    # a kept row with free scalars only is a pivot row or takes the pivot
+    # rows' block entries, so no row of the Schur system is empty
+    assert any(not prog.rows[k].entries for k in ws.active)
+    assert np.diff(ws.A.indptr).all() and np.diag(M).all()
 
 
 def test_row_matrices_hold_each_entry_and_its_mirror():
@@ -520,15 +535,29 @@ def test_row_matrices_hold_each_entry_and_its_mirror():
             free[k] = c
         return np.concatenate([X.ravel() for X in blocks] + [free[ws.free_idx]])
 
-    want = np.array([stacked(prog.rows[k]) for k in ws.active])
+    # each kept free scalar is solved out of its pivot row
+    rows = {k: stacked(prog.rows[k]) for k in ws.active}
+    A_P, A_R = (np.array([rows[k] for k in ix]) for ix in (ws.pivots, ws.rows))
+    nx = ws.off[-1]
+    F_P, F_R = A_P[:, nx:], A_R[:, nx:]
+    T = np.linalg.solve(F_P.T, F_R.T).T
+    want = A_R[:, :nx] - T @ A_P[:, :nx]
+    assert sorted(np.r_[ws.pivots, ws.rows]) == ws.active.tolist()
+    A = ws.A.toarray()
     assert ws.A.has_canonical_format
-    assert np.array_equal(ws.A.toarray(), want)
+    assert A.shape == want.shape
+    np.testing.assert_allclose(A, want, rtol=0, atol=1e-12)
     assert ws.A.nnz == np.count_nonzero(want)
-    assert ws.F.flags.f_contiguous
-    assert np.array_equal(ws.F, want[:, ws.off[-1]:])
+    # every entry keeps its mirror exactly
+    for b, n in enumerate(ws.sizes):
+        Ab = A[:, ws.off[b]:ws.off[b + 1]].reshape(-1, n, n)
+        assert np.array_equal(Ab, Ab.transpose(0, 2, 1))
     # the objective of a maximize program enters negated
-    got = np.concatenate([C.ravel() for C in ws.C] + [ws.cf])
-    assert np.array_equal(got, -stacked(prog.objective))
+    c = -stacked(prog.objective)
+    g = np.linalg.solve(F_P.T, c[nx:])
+    got = np.concatenate([C.ravel() for C in ws.C])
+    np.testing.assert_allclose(got, c[:nx] - A_P[:, :nx].T @ g, rtol=0, atol=1e-12)
+    assert ws.const == pytest.approx(g @ [prog.rhs[k] for k in ws.pivots], abs=1e-12)
 
 
 def test_row_presolve_makes_no_gram_sized_temporary():
@@ -598,6 +627,29 @@ def test_presolve_reports_the_free_columns_it_removes():
     assert len(res.presolve["dropped_free"]) == 9
     assert res.presolve["dropped_empty"] == res.presolve["dropped_dependent"] == []
     assert np.all(res.free_values[res.presolve["dropped_free"]] == 0.0)
+
+
+@pytest.mark.parametrize("prog", [
+    assemble_hsos(gen_sphere_instance(2, 0), 2, "dualview").program,
+    assemble_hsos(gen_sphere_instance(2, 0), 2, "naive").program,
+    min_diag_free_program(),
+], ids=["sphere-2-2-dualview", "sphere-2-2-naive", "min_diag_free"])
+def test_free_scalars_are_solved_out_of_pivot_rows(prog):
+    ws = _Workspace(prog)
+    assert ws.free_idx.size and ws.A.shape[1] == ws.off[-1]
+    assert ws.m == len(ws.active) - len(ws.free_idx)
+    res = solve(prog, LOOSE)
+    assert res.status == "optimal"
+    # each scalar's stationarity, F'dual = cf, holds through the pivot rows'
+    # multipliers
+    a = prog.functionals
+    at = np.repeat(np.arange(prog.n_rows + 1), np.diff(a.free_indptr))
+    Fc = np.zeros((prog.n_rows + 1, prog.n_free))
+    Fc[at, a.free_idx] = a.free_coef
+    lhs, cf = Fc[1:].T @ res.dual_row_values, Fc[0]
+    assert np.abs(lhs - cf).max() <= 1e-9 * (1.0 + np.abs(cf).max())
+    resid = prog.row_residuals(res.primal_blocks, res.free_values)[ws.pivots]
+    assert np.abs(resid).max() <= LOOSE.tol_primal * (1.0 + np.abs(prog.rhs).max())
 
 
 def lmi_program(rng, sizes, nf, sense):
