@@ -27,10 +27,19 @@ A program whose rows pin every block entry once, a linear matrix inequality
 in its free scalars such as ``reformulate_dual`` builds, is solved through
 its standard-form dual, which has one row per free scalar and none free
 (Kobayashi, Nakata and Kojima, Comput. Optim. Appl. 36, 2007).
+
+A solve runs its BLAS and LAPACK calls on one thread: numpy and scipy each
+bundle an OpenBLAS with its own thread pool, every iteration alternates
+between the two, and each pool's idle workers spin against the other's
+(about half of every solve on two cores).  Each OpenBLAS mapped into the
+process, as /proc/self/maps lists it, is set to one thread and restored.
 """
 
 from __future__ import annotations
 
+import ctypes
+import threading
+from contextlib import contextmanager
 from dataclasses import dataclass
 
 import numpy as np
@@ -44,6 +53,45 @@ __all__ = ["SolverOptions", "solve"]
 _TINY = 1e-13
 # Element cap on every Schur assembly temporary (16 MB of float64).
 _CHUNK = 2_097_152
+
+
+def _openblas() -> list:
+    """Each OpenBLAS mapped into the process that has the thread setter."""
+    try:
+        with open("/proc/self/maps") as fh:
+            maps = [ln.split(None, 5) for ln in fh if "openblas" in ln]
+    except OSError:
+        return []
+    libs = []
+    for path in sorted({fields[-1].strip() for fields in maps}):
+        try:
+            libs.append(ctypes.CDLL(path))
+        except OSError:
+            pass
+    return [lib for lib in libs if hasattr(lib, "openblas_set_num_threads_local")]
+
+
+_OPENBLAS = _openblas()
+# The setter is process-wide in the wheels' pthreads builds, so concurrent
+# solves share one save: the first in saves each count, the last out restores.
+_blas_lock, _blas_users, _blas_saved = threading.Lock(), 0, []
+
+
+@contextmanager
+def _one_blas_thread():
+    global _blas_users, _blas_saved
+    with _blas_lock:
+        if _blas_users == 0:
+            _blas_saved = [lib.openblas_set_num_threads_local(1) for lib in _OPENBLAS]
+        _blas_users += 1
+    try:
+        yield
+    finally:
+        with _blas_lock:
+            _blas_users -= 1
+            if _blas_users == 0:
+                for lib, n in zip(_OPENBLAS, _blas_saved):
+                    lib.openblas_set_num_threads_local(n)
 
 
 @dataclass(frozen=True)
@@ -323,30 +371,31 @@ def solve(prog: RealConicProgram, options: SolverOptions | None = None) -> Solve
     a breakdown; "max_iter" exhaustion, with the best iterate found.
     """
     opts = options or SolverOptions()
-    lmi = _lmi_dual(prog)
-    if lmi is None:
-        return _solve_direct(prog, opts)
-    dual, (blk, i, j, coef, z, G, c0) = lmi
-    r = _solve_direct(dual, opts)
-    # f is D's row multipliers, X = Z0 - sum_j f_j G_j, and the row duals y
-    # make C - A*(y) D's block Y (A*(y) - C for maximize)
-    f, res = r.dual_row_values, r.residuals
-    x, y = z - G @ f, c0.copy()
-    sign = -1.0 if prog.sense == "maximize" else 1.0
-    Xs = [np.zeros((n, n)) for n in prog.psd_blocks]
-    for b, (X, Y) in enumerate(zip(Xs, r.primal_blocks)):
-        k = np.flatnonzero(blk == b)
-        X[i[k], j[k]] = X[j[k], i[k]] = x[k]
-        y[k] -= sign * Y[i[k], j[k]]
-    dropped = r.presolve["dropped_empty"] + r.presolve["dropped_dependent"]
-    return _finish(
-        prog, opts, r.status, Xs, f, y / coef,
-        dict(res, primal_inf=res["dual_inf"], dual_inf=res["primal_inf"]),
-        r.iterations, dict(
-            dropped_empty=[], dropped_dependent=[], dropped_free=sorted(dropped),
-            dualized=list(range(len(prog.psd_blocks))),
-        ),
-    )
+    with _one_blas_thread():
+        lmi = _lmi_dual(prog)
+        if lmi is None:
+            return _solve_direct(prog, opts)
+        dual, (blk, i, j, coef, z, G, c0) = lmi
+        r = _solve_direct(dual, opts)
+        # f is D's row multipliers, X = Z0 - sum_j f_j G_j, and the row duals y
+        # make C - A*(y) D's block Y (A*(y) - C for maximize)
+        f, res = r.dual_row_values, r.residuals
+        x, y = z - G @ f, c0.copy()
+        sign = -1.0 if prog.sense == "maximize" else 1.0
+        Xs = [np.zeros((n, n)) for n in prog.psd_blocks]
+        for b, (X, Y) in enumerate(zip(Xs, r.primal_blocks)):
+            k = np.flatnonzero(blk == b)
+            X[i[k], j[k]] = X[j[k], i[k]] = x[k]
+            y[k] -= sign * Y[i[k], j[k]]
+        dropped = r.presolve["dropped_empty"] + r.presolve["dropped_dependent"]
+        return _finish(
+            prog, opts, r.status, Xs, f, y / coef,
+            dict(res, primal_inf=res["dual_inf"], dual_inf=res["primal_inf"]),
+            r.iterations, dict(
+                dropped_empty=[], dropped_dependent=[], dropped_free=sorted(dropped),
+                dualized=list(range(len(prog.psd_blocks))),
+            ),
+        )
 
 
 def _lmi_dual(prog: RealConicProgram):

@@ -13,7 +13,6 @@ from dataclasses import dataclass
 import numpy as np
 
 from .polynomials import CPOP, CPolynomial, _modulus_equality, _sphere_equality
-from .program import LinearFunctional, RealConicProgram, Row
 from .relaxation import assemble_hsos, size_report
 from .solver import SolverOptions, solve
 
@@ -115,26 +114,6 @@ def grid_min_1d(p: CPOP, grid: int) -> float:
     return best
 
 
-_warmed = False
-
-
-def _warm_solver() -> None:
-    # First LAPACK call in a process pays one-time setup; keep it out of
-    # the reported timings.
-    global _warmed
-    if _warmed:
-        return
-    tiny = RealConicProgram(
-        psd_blocks=(2,),
-        n_free=0,
-        rows=(Row(entries=((0, 0, 0, 1.0), (0, 1, 1, 1.0)), rhs=1.0),),
-        objective=LinearFunctional(entries=((0, 0, 0, 1.0),)),
-        sense="minimize",
-    )
-    solve(tiny, SolverOptions(tol_gap=1e-6, tol_primal=1e-6, tol_dual=1e-6))
-    _warmed = True
-
-
 def compare_reformulations(
     p: CPOP,
     d: int,
@@ -144,15 +123,13 @@ def compare_reformulations(
     """Solve both assembled forms of the order-d relaxation side by side.
 
     Returns the two optima, their absolute difference, per-form statuses,
-    and wall times (median over ``repeats`` identical solves, first-call
-    library setup excluded).  Row counts echo size_report so table rows
-    can be emitted without re-deriving them.
+    and wall times (median over ``repeats`` identical solves).  Row counts
+    echo size_report so table rows can be emitted without re-deriving them.
     """
     if repeats < 1:
         raise ValueError("repeats must be positive")
     rep = size_report(p, d)
     out = {k: rep[k] for k in ("n_sdp", "m_naive", "m_dualview")}
-    _warm_solver()
     for form in ("naive", "dualview"):
         art = assemble_hsos(p, d, form)
         times = []

@@ -5,11 +5,14 @@ checked against its planted construction and a second solve from perturbed
 stepping, never against the solver's own first answer.
 """
 
+import sys
+import threading
 import tracemalloc
 
 import numpy as np
 import pytest
 
+import realify.solver as solver
 from realify import (
     CPOP,
     CPolynomial,
@@ -20,6 +23,7 @@ from realify import (
     assemble_hsos,
     gen_sphere_instance,
     reformulate_dual,
+    reformulate_primal_naive,
     solve,
 )
 from realify.solver import _factor_spd, _independent, _Workspace
@@ -181,6 +185,104 @@ def test_solver_is_deterministic_to_the_bit():
         assert np.array_equal(r1.free_values, r2.free_values)
         assert r1.iterations == r2.iterations
     assert r1.presolve["dualized"] == [0]
+
+
+def blas_threads():
+    """Each found OpenBLAS's thread count, read through its own getter."""
+    counts = []
+    for lib in solver._OPENBLAS:
+        names = [
+            p + "openblas_get_num_threads" + s
+            for p in ("", "scipy_") for s in ("", "64_")
+        ]
+        counts.append(next(getattr(lib, n) for n in names if hasattr(lib, n))())
+    return counts
+
+
+def test_solve_runs_blas_on_one_thread_and_restores_the_callers_count(monkeypatch):
+    blas = np.show_config(mode="dicts")["Build Dependencies"]["blas"]
+    if sys.platform == "linux" and blas["name"] == "scipy-openblas":
+        assert solver._OPENBLAS
+    caller = blas_threads()
+    inside = []
+    direct = solver._solve_direct
+
+    def spy(prog, opts):
+        inside.append(blas_threads())
+        return direct(prog, opts)
+
+    def failing(prog, opts):
+        inside.append(blas_threads())
+        raise RuntimeError("breakdown")
+
+    # the direct path, then the LMI path (a dual solve), then a raise
+    monkeypatch.setattr(solver, "_solve_direct", spy)
+    assert solve(max_corner_program()).status == "optimal"
+    assert blas_threads() == caller
+    lmi = reformulate_dual(planted_sdp(np.random.default_rng(25), 3, 4)[0])
+    assert solve(lmi).presolve["dualized"] == [0]
+    assert blas_threads() == caller
+    monkeypatch.setattr(solver, "_solve_direct", failing)
+    with pytest.raises(RuntimeError):
+        solve(max_corner_program())
+    assert blas_threads() == caller
+    assert inside == [[1] * len(caller)] * 3
+
+
+def test_overlapping_solves_in_two_threads_restore_the_callers_count(monkeypatch):
+    # the setter is process-wide: the second solve in saw the first's 1, so
+    # only the last solve out may restore, and to what the first one saved
+    caller = blas_threads()
+    both_in = threading.Barrier(2, timeout=30)
+    first_out = threading.Event()
+    inside, results = {}, {}
+    direct = solver._solve_direct
+
+    def spy(prog, opts):
+        both_in.wait()
+        name = threading.current_thread().name
+        if name == "second":
+            assert first_out.wait(timeout=30)
+        inside[name] = blas_threads()
+        return direct(prog, opts)
+
+    def run():
+        name = threading.current_thread().name
+        results[name] = solve(max_corner_program()).status
+        if name == "first":
+            first_out.set()
+
+    monkeypatch.setattr(solver, "_solve_direct", spy)
+    threads = [threading.Thread(target=run, name=n) for n in ("first", "second")]
+    for t in threads:
+        t.start()
+    for t in threads:
+        t.join()
+    assert results == {"first": "optimal", "second": "optimal"}
+    assert inside == {"first": [1] * len(caller), "second": [1] * len(caller)}
+    assert blas_threads() == caller
+
+
+def test_result_does_not_depend_on_the_callers_blas_threads():
+    # large enough that OpenBLAS would split its products over threads
+    prog = reformulate_primal_naive(planted_sdp(np.random.default_rng(26), 16, 32)[0])
+    saved = [lib.openblas_set_num_threads_local(1) for lib in solver._OPENBLAS]
+    try:
+        r1 = solve(prog)
+        for lib in solver._OPENBLAS:
+            lib.openblas_set_num_threads_local(2)
+        r2 = solve(prog)
+    finally:
+        for lib, n in zip(solver._OPENBLAS, saved):
+            lib.openblas_set_num_threads_local(n)
+    assert r1.status == r2.status == "optimal"
+    assert r1.objective == r2.objective
+    assert all(
+        np.array_equal(a, b) for a, b in zip(r1.primal_blocks, r2.primal_blocks)
+    )
+    assert np.array_equal(r1.dual_row_values, r2.dual_row_values)
+    assert np.array_equal(r1.free_values, r2.free_values)
+    assert r1.iterations == r2.iterations
 
 
 def test_objective_scaling_covariance():
