@@ -188,15 +188,15 @@ def test_solver_is_deterministic_to_the_bit():
 
 
 def blas_threads():
-    """Each found OpenBLAS's thread count, read through its own getter."""
-    counts = []
-    for lib in solver._OPENBLAS:
-        names = [
-            p + "openblas_get_num_threads" + s
-            for p in ("", "scipy_") for s in ("", "64_")
-        ]
-        counts.append(next(getattr(lib, n) for n in names if hasattr(lib, n))())
-    return counts
+    """Each found OpenBLAS's thread count, read through its own getter,
+    whose name carries the build's symbol prefix and suffix."""
+    names = [
+        p + "openblas_get_num_threads" + s for p in ("", "scipy_") for s in ("", "64_")
+    ]
+    return [
+        next(getattr(lib, n) for n in names if hasattr(lib, n))()
+        for lib in solver._OPENBLAS
+    ]
 
 
 def test_solve_runs_blas_on_one_thread_and_restores_the_callers_count(monkeypatch):
