@@ -9,13 +9,13 @@ Solves programs of the form
 using an infeasible-start path-following method: a predictor-corrector
 iteration on the symmetrized complementarity X S = mu I with the dual-scaled
 search direction and a dense Schur complement M for the row multipliers.
-Presolve solves each free scalar out of one pivot row, so the iteration
-carries PSD blocks and rows only; the rows are one sparse operator over the
-stacked columns vec(X_0), ..., vec(X_{B-1}), which every operator
-application and the Schur split read.  M is factored by a Cholesky with
-escalating diagonal shift, and each solve is refined against the unshifted
-M.  Everything is deterministic: identical inputs and options reproduce
-identical iterates on a given platform.
+Presolve is its own step ahead of the iteration's workspace: it drops empty
+and dependent rows, then solves each free scalar out of one pivot row, so
+the iteration carries PSD blocks and rows only, as one sparse operator over
+the stacked columns vec(X_0), ..., vec(X_{B-1}).  M is factored by a
+Cholesky with escalating diagonal shift, and each solve is refined against
+the unshifted M.  Everything is deterministic: identical inputs and options
+reproduce identical iterates on a given platform.
 
 Designed for desk-scale problems (block dimension up to a few hundred, row
 counts in the low tens of thousands).  The Schur matrix is held dense but
@@ -118,101 +118,117 @@ class SolverOptions:
             raise ValueError("max_iter must be at least 1")
 
 
-class _Workspace:
-    """Preprocessed solver data for one program.
+def _presolve(prog: RealConicProgram):
+    """Reduce ``prog`` to PSD blocks and independent rows.
 
-    The kept rows are one CSR operator ``A`` over the stacked columns
-    vec(X_0), ..., vec(X_{B-1}): block entry (b, i, j) at off[b] + i n_b + j,
-    with its mirror (j, i) off the diagonal.  No free scalar is left in it.
+    Returns ((A, b, c, row_norms, const), infeasible, report, back).  ``A``
+    holds the kept rows as one CSR over the stacked columns vec(X_0), ...,
+    vec(X_{B-1}), block entry (b, i, j) at off[b] + i n_b + j and its mirror
+    (j, i) off the diagonal; ``c`` is the objective, negated for maximize.
 
-    Presolve is one pass per variable kind, each a pivoted Cholesky of a
-    Gram scaled to unit diagonal, the only factorization of that Gram.  The
-    row pass drops rows whose coefficients are all zero and rows that are
-    linear combinations of earlier ones; dependent but consistent rows
-    would otherwise make the Schur system singular and let the multipliers
-    drift along its null space.  The free pass drops free scalars whose
-    columns are zero or combinations of earlier ones (the equality
-    multipliers of a moment relaxation carry such syzygies,
-    g_j H_i = g_i H_j); a dropped scalar whose price the kept columns do
-    not match, to 1e-9 relative, makes the stated sense unbounded.  It then
-    solves each kept scalar out of one pivot row, picked by LU with partial
-    pivoting of the kept columns F (Kobayashi, Nakata and Kojima, Comput.
-    Optim. Appl. 36, 2007).  With T = F_R F_P^-1 the other rows R become
-    (A_R - T A_P) x = b_R - T b_P, and with g = F_P^-T cf the objective
-    becomes <c - A_P' g, x> + g.b_P, so the iteration sees PSD blocks and
-    rows only.  ``finish`` recovers f = F_P^-1 (b_P - A_P x) and the pivot
-    rows' multipliers g - T'y.  Dropped rows report a zero multiplier and
-    are re-checked in the final residuals; dropped scalars are reported as
-    zero.  Each block's rows are then split once, by stored entries, into
-    the dense and sparse rows of the Schur assembly.
+    One pass per variable kind, each a pivoted Cholesky of a Gram scaled to
+    unit diagonal.  The row pass runs first and drops rows that are zero or
+    combinations of earlier ones, which would make the Schur system
+    singular; after the free pass, a row could lose its block entries to
+    exact cancellation and keep a rounding residue in its rhs.  The free
+    pass drops free scalars whose columns are zero or combinations of
+    earlier ones (a moment relaxation's equality multipliers carry
+    syzygies, g_j H_i = g_i H_j) and solves each kept one out of a pivot
+    row, picked by LU with partial pivoting of the kept columns F
+    (Kobayashi, Nakata and Kojima, Comput. Optim. Appl. 36, 2007).  With
+    T = F_R F_P^-1 the other rows R become (A_R - T A_P) x = b_R - T b_P,
+    and with g = F_P^-T cf the objective is <c - A_P' g, x> + g.b_P.  A
+    dropped column is F W, priced at W'cf = F_PD' g; a dropped scalar whose
+    price misses that, to 1e-9 relative, makes the stated sense unbounded,
+    as an empty row with a nonzero rhs makes the program infeasible.
+
+    ``back(Xs, y)`` gives f = F_P^-1 (b_P - A_P x), zero where dropped, and
+    each row's multiplier: y on R, g - T'y on the pivot rows, zero on
+    dropped rows, which the final residuals re-check.
     """
+    sizes = np.array(prog.psd_blocks, dtype=np.intp)
+    sign = -1.0 if prog.sense == "maximize" else 1.0
+    off = np.r_[0, np.cumsum(sizes * sizes)]
 
-    def __init__(self, prog: RealConicProgram):
-        self.sizes = list(prog.psd_blocks)
-        self.sign = -1.0 if prog.sense == "maximize" else 1.0
-        sizes = np.array(self.sizes, dtype=np.intp)
-        self.off = off = np.r_[0, np.cumsum(sizes * sizes)]
+    # Functional 0 is the objective (c and cf), functional k + 1 is row k;
+    # the free scalars' columns follow the blocks'.
+    a = prog.functionals
+    at = np.arange(len(a.indptr) - 1)
+    fun, mirror = np.repeat(at, np.diff(a.indptr)), a.i != a.j
 
-        # Functional 0 is the objective (c and cf), functional k + 1 is
-        # row k; the free scalars' columns follow the blocks'.
-        a = prog.functionals
-        at = np.arange(len(a.indptr) - 1)
-        fun, mirror = np.repeat(at, np.diff(a.indptr)), a.i != a.j
+    def col(i, j):
+        return off[a.blk] + i * sizes[a.blk] + j
 
-        def col(i, j):
-            return off[a.blk] + i * sizes[a.blk] + j
+    A = sp.csr_matrix((
+        np.r_[a.coef, a.coef[mirror], a.free_coef],
+        (np.r_[fun, fun[mirror], np.repeat(at, np.diff(a.free_indptr))],
+         np.r_[col(a.i, a.j), col(a.j, a.i)[mirror], off[-1] + a.free_idx]),
+    ), shape=(at.size, off[-1] + prog.n_free))
+    c = sign * A[0].toarray().ravel()
+    A = A[1:]
 
-        A = sp.csr_matrix((
-            np.r_[a.coef, a.coef[mirror], a.free_coef],
-            (np.r_[fun, fun[mirror], np.repeat(at, np.diff(a.free_indptr))],
-             np.r_[col(a.i, a.j), col(a.j, a.i)[mirror], off[-1] + a.free_idx]),
-        ), shape=(at.size, off[-1] + prog.n_free))
-        c = self.sign * A[0].toarray().ravel()
-        A = A[1:]
+    # The row Gram's diagonal holds the squared row norms; a zero marks an
+    # empty row, which with a nonzero rhs certifies infeasibility.
+    G = (A @ A.T).toarray(order="F")
+    norms = np.sqrt(np.diag(G))
+    active = _independent(G)
+    del G
+    dropped = np.delete(np.arange(prog.n_rows), active)
+    empty = dropped[norms[dropped] == 0.0]
+    infeasible = bool(np.any(np.abs(prog.rhs[empty]) > _TINY))
+    A = A[active]
 
-        # The row Gram's diagonal holds the squared row norms; a zero marks
-        # an empty row, which with a nonzero rhs certifies infeasibility.
-        G = (A @ A.T).toarray(order="F")
-        norms = np.sqrt(np.diag(G))
-        self.active = _independent(G)
-        del G
-        dropped = np.delete(np.arange(prog.n_rows), self.active)
-        empty = dropped[norms[dropped] == 0.0]
-        self.dropped_empty = empty.tolist()
-        self.dropped_dependent = np.setdiff1d(dropped, empty).tolist()
-        self.infeasible = bool(np.any(np.abs(prog.rhs[empty]) > _TINY))
-        A = A[self.active]
+    F, cf = A[:, off[-1]:].toarray(), c[off[-1]:]
+    free_idx = _independent(F.T @ F)
+    tol_cf = 1e-9 * (1.0 + float(np.abs(cf).max(initial=0.0)))
+    F_D, cf_D = np.delete(F, free_idx, axis=1), np.delete(cf, free_idx)
+    F, cf = F[:, free_idx], cf[free_idx]
+    k = cf.size
+    # F = L[p] U: row r of F is pivot p[r] when p[r] < k; an m x 0 F gives
+    # an empty p
+    p, L, U = sla.lu(F, p_indices=True)
+    p = p if p.size else np.arange(active.size)
+    piv, rest = np.argsort(p)[:k], np.flatnonzero(p >= k)
+    # F_P = L[:k] U, in lu_factor's layout with no further row swaps
+    lu = np.tril(L[:k], -1) + U, np.arange(k)
+    T = sp.csr_matrix(sla.lu_solve(lu, F[rest].T, trans=1).T)
+    g = sla.lu_solve(lu, cf, trans=1)
+    infeasible |= float(np.abs(cf_D - F_D[piv].T @ g).max(initial=0.0)) > tol_cf
 
-        F, cf = A[:, off[-1]:].toarray(), c[off[-1]:]
-        self.free_idx = _independent(F.T @ F)
-        dropped = np.delete(np.arange(prog.n_free), self.free_idx)
-        if dropped.size:
-            W = np.linalg.lstsq(F[:, self.free_idx], F[:, dropped], rcond=None)[0]
-            mismatch = cf[dropped] - W.T @ cf[self.free_idx]
-            tol_cf = 1e-9 * (1.0 + float(np.abs(cf).max(initial=0.0)))
-            self.infeasible |= float(np.abs(mismatch).max()) > tol_cf
-        F, cf = F[:, self.free_idx], cf[self.free_idx]
-        k = cf.size
-        # F = L[p] U: row r of F is pivot p[r] when p[r] < k; an m x 0 F
-        # gives an empty p
-        p, L, U = sla.lu(F, p_indices=True)
-        p = p if p.size else np.arange(self.active.size)
-        piv, rest = np.argsort(p)[:k], np.flatnonzero(p >= k)
-        # F_P = L[:k] U, in lu_factor's layout with no further row swaps
-        self.lu = np.tril(L[:k], -1) + U, np.arange(k)
-        self.T = sp.csr_matrix(sla.lu_solve(self.lu, F[rest].T, trans=1).T)
-        self.g = sla.lu_solve(self.lu, cf, trans=1)
-        A = A[:, :off[-1]]
-        self.A_P, self.b_P = A[piv], prog.rhs[self.active[piv]]
-        self.pivots, self.rows = self.active[piv], self.active[rest]
-        self.A = A[rest] - self.T @ self.A_P
-        self.A.sum_duplicates()  # sorted indices, as the one-call build has
-        self.b = prog.rhs[self.rows] - self.T @ self.b_P
-        self.row_norms = norms[self.rows]
-        c = c[:off[-1]] - self.A_P.T @ self.g
+    A, pivots, rows = A[:, :off[-1]], active[piv], active[rest]
+    A_P, b_P = A[piv], prog.rhs[pivots]
+    A = A[rest] - T @ A_P
+    A.sum_duplicates()  # sorted indices, as the one-call build has
+    b = prog.rhs[rows] - T @ b_P
+    c = c[:off[-1]] - A_P.T @ g
+    report = dict(
+        dropped_empty=empty.tolist(),
+        dropped_dependent=np.setdiff1d(dropped, empty).tolist(),
+        dropped_free=np.delete(np.arange(prog.n_free), free_idx).tolist(), dualized=[],
+    )
+
+    def back(Xs, y):
+        f = np.zeros(prog.n_free)
+        f[free_idx] = sla.lu_solve(lu, b_P - A_P @ _vec(Xs))
+        dual = np.zeros(prog.n_rows)
+        if y is not None:
+            dual[rows] = sign * y
+            dual[pivots] = sign * (g - T.T @ y)
+        return f, dual
+
+    return (A, b, c, norms[rows], float(g @ b_P)), infeasible, report, back
+
+
+class _Workspace:
+    """What an iteration reads: ``_presolve``'s reduced rows and objective,
+    and each block's rows split once, by stored entries, into the dense and
+    sparse rows of the Schur assembly."""
+
+    def __init__(self, sizes, A, b, c, row_norms, const):
+        self.sizes, self.A, self.b = list(sizes), A, b
+        self.row_norms, self.const, self.m = row_norms, const, A.shape[0]
+        self.off = off = np.r_[0, np.cumsum(np.array(self.sizes, dtype=np.intp) ** 2)]
         self.C = [c[o:o + n * n].reshape(n, n) for o, n in zip(off, self.sizes)]
-        self.const = float(self.g @ self.b_P)
-        self.m = int(rest.size)
 
         # Rows with more than n stored entries are dense (densified per
         # chunk); the others keep left-aligned, zero-padded entry lists.
@@ -447,43 +463,26 @@ def _lmi_dual(prog: RealConicProgram):
 
 def _solve_direct(prog: RealConicProgram, opts: SolverOptions) -> SolveResult:
     """Run the interior-point method on ``prog`` itself."""
-    ws = _Workspace(prog)
+    reduced, infeasible, report, back = _presolve(prog)
+    ws = _Workspace(prog.psd_blocks, *reduced)
 
     def finish(status, Xs, y, res, iters):
-        # the eliminated scalars from the pivot rows, and those rows'
-        # multipliers from the others'
-        f_full = np.zeros(prog.n_free)
-        f_full[ws.free_idx] = sla.lu_solve(ws.lu, ws.b_P - ws.A_P @ _vec(Xs))
-        full_dual = np.zeros(prog.n_rows)
-        if y is not None:
-            full_dual[ws.rows] = ws.sign * y
-            full_dual[ws.pivots] = ws.sign * (ws.g - ws.T.T @ y)
-        return _finish(prog, opts, status, Xs, f_full, full_dual, res, iters, dict(
-            dropped_empty=ws.dropped_empty, dropped_dependent=ws.dropped_dependent,
-            dropped_free=np.delete(np.arange(prog.n_free), ws.free_idx).tolist(),
-            dualized=[],
-        ))
+        return _finish(prog, opts, status, Xs, *back(Xs, y), res, iters, report)
 
     zero_blocks = [np.zeros((n, n)) for n in ws.sizes]
-    if ws.infeasible:
-        # An empty row with nonzero rhs, or a priced free scalar that the
-        # kept rows leave unbounded in the stated sense.
+    # With no rows left, 0 is optimal iff no improving ray exists, i.e. the
+    # internal objective is PSD blockwise.
+    ray = ws.m == 0 and min(
+        (float(np.linalg.eigvalsh(Cb)[0]) for Cb in ws.C), default=0.0
+    ) < -1e-12
+    if infeasible or ray:
+        # An empty row with nonzero rhs, a priced free scalar that the kept
+        # rows leave unbounded in the stated sense, or an improving ray.
         return finish(
             "infeasible", zero_blocks, None,
             {"primal_inf": 0.0, "dual_inf": 0.0, "gap": np.inf}, 0,
         )
-
     if ws.m == 0:
-        # Pure feasibility in the PSD cone: 0 is optimal iff no improving
-        # ray exists, i.e. the internal objective is PSD blockwise.
-        lmin = min(
-            (float(np.linalg.eigvalsh(Cb)[0]) for Cb in ws.C), default=0.0
-        )
-        if lmin < -1e-12:
-            return finish(
-                "infeasible", zero_blocks, None,
-                {"primal_inf": 0.0, "dual_inf": 0.0, "gap": np.inf}, 0,
-            )
         return finish(
             "optimal", zero_blocks, np.zeros(0),
             {"primal_inf": 0.0, "dual_inf": 0.0, "gap": 0.0}, 0,

@@ -8,6 +8,7 @@ stepping, never against the solver's own first answer.
 import sys
 import threading
 import tracemalloc
+from collections import defaultdict
 
 import numpy as np
 import pytest
@@ -26,7 +27,7 @@ from realify import (
     reformulate_primal_naive,
     solve,
 )
-from realify.solver import _factor_spd, _independent, _Workspace
+from realify.solver import _factor_spd, _independent, _presolve, _Workspace
 from test_complex_core import planted_sdp
 
 
@@ -555,6 +556,26 @@ def rows_of_kinds(rng, sizes, kinds, n_free):
     )
 
 
+def kept_rows(prog, report):
+    """The rows that presolve does not report dropped."""
+    dropped = report["dropped_empty"] + report["dropped_dependent"]
+    return np.delete(np.arange(prog.n_rows), dropped)
+
+
+def pivot_rows(prog, report, back):
+    """The kept rows split into the pivot rows and the others.
+
+    ``back`` solves the free scalars out of the pivot rows, so at a random
+    X and the free values it gives, the pivot rows' residuals vanish.
+    """
+    rng = np.random.default_rng(0)
+    Xs = [g + g.T for g in (rng.standard_normal((n, n)) for n in prog.psd_blocks)]
+    resid = prog.row_residuals(Xs, back(Xs, None)[0])
+    active = kept_rows(prog, report)
+    at_zero = np.abs(resid[active]) <= 1e-12 * (1.0 + np.abs(prog.rhs).max())
+    return active[at_zero], active[~at_zero]
+
+
 def schur_reference(ws, Xs, Sinvs):
     """M[k, l] = sum_b <A_kb, X_b A_lb S_b^-1> from dense coefficient matrices
     of the workspace's rows."""
@@ -594,7 +615,8 @@ CHUNKED_KINDS = [
 def test_schur_matrix_matches_the_trace_formula(sizes, kinds):
     rng = np.random.default_rng(26)
     prog = rows_of_kinds(rng, sizes, kinds, n_free=3)
-    ws = _Workspace(prog)
+    reduced, _, report, _ = _presolve(prog)
+    ws = _Workspace(prog.psd_blocks, *reduced)
     Xs, Sinvs = [], []
     for n in sizes:
         g, h = rng.standard_normal((2, n, n))
@@ -607,7 +629,7 @@ def test_schur_matrix_matches_the_trace_formula(sizes, kinds):
     assert np.abs(M - ref).max() <= 1e-12 * scale
     # a kept row with free scalars only is a pivot row or takes the pivot
     # rows' block entries, so no row of the Schur system is empty
-    assert any(not prog.rows[k].entries for k in ws.active)
+    assert any(not prog.rows[k].entries for k in kept_rows(prog, report))
     assert np.diff(ws.A.indptr).all() and np.diag(M).all()
 
 
@@ -624,8 +646,10 @@ def test_row_matrices_hold_each_entry_and_its_mirror():
         rows=(Row(),) + shuffled, sense="maximize",
         objective=LinearFunctional(shuffled[0].entries, ((2, 0.5), (0, -1.5))),
     )
-    ws = _Workspace(prog)
-    assert ws.active[0] == 1
+    (A, b, C, norms, const), _, report, back = _presolve(prog)
+    assert kept_rows(prog, report)[0] == 1
+    free_idx = np.delete(np.arange(prog.n_free), report["dropped_free"])
+    off = np.r_[0, np.cumsum(np.square(prog.psd_blocks))]
 
     def stacked(fun):
         # vec(X_0), ..., vec(X_{B-1}), then the kept free scalars
@@ -635,31 +659,52 @@ def test_row_matrices_hold_each_entry_and_its_mirror():
         free = np.zeros(prog.n_free)
         for k, c in fun.free:
             free[k] = c
-        return np.concatenate([X.ravel() for X in blocks] + [free[ws.free_idx]])
+        return np.concatenate([X.ravel() for X in blocks] + [free[free_idx]])
 
-    # each kept free scalar is solved out of its pivot row
-    rows = {k: stacked(prog.rows[k]) for k in ws.active}
-    A_P, A_R = (np.array([rows[k] for k in ix]) for ix in (ws.pivots, ws.rows))
-    nx = ws.off[-1]
+    # each kept free scalar is solved out of its own pivot row
+    pivots, rows = pivot_rows(prog, report, back)
+    assert pivots.size == free_idx.size
+    full = {k: stacked(prog.rows[k]) for k in kept_rows(prog, report)}
+    A_P, A_R = (np.array([full[k] for k in ix]) for ix in (pivots, rows))
+    nx = off[-1]
     F_P, F_R = A_P[:, nx:], A_R[:, nx:]
     T = np.linalg.solve(F_P.T, F_R.T).T
     want = A_R[:, :nx] - T @ A_P[:, :nx]
-    assert sorted(np.r_[ws.pivots, ws.rows]) == ws.active.tolist()
-    A = ws.A.toarray()
-    assert ws.A.has_canonical_format
+    assert A.has_canonical_format
     assert A.shape == want.shape
-    np.testing.assert_allclose(A, want, rtol=0, atol=1e-12)
-    assert ws.A.nnz == np.count_nonzero(want)
+    Ad = A.toarray()
+    np.testing.assert_allclose(Ad, want, rtol=0, atol=1e-12)
+    assert A.nnz == np.count_nonzero(want)
+    np.testing.assert_allclose(
+        b, prog.rhs[rows] - T @ prog.rhs[pivots], rtol=0, atol=1e-12
+    )
+    # no free scalar is dropped, so full[k] holds all of row k
+    assert free_idx.size == prog.n_free
+    np.testing.assert_allclose(
+        norms, [np.linalg.norm(full[k]) for k in rows], rtol=1e-15, atol=0
+    )
     # every entry keeps its mirror exactly
-    for b, n in enumerate(ws.sizes):
-        Ab = A[:, ws.off[b]:ws.off[b + 1]].reshape(-1, n, n)
+    for k, n in enumerate(prog.psd_blocks):
+        Ab = Ad[:, off[k]:off[k + 1]].reshape(-1, n, n)
         assert np.array_equal(Ab, Ab.transpose(0, 2, 1))
     # the objective of a maximize program enters negated
     c = -stacked(prog.objective)
     g = np.linalg.solve(F_P.T, c[nx:])
-    got = np.concatenate([C.ravel() for C in ws.C])
-    np.testing.assert_allclose(got, c[:nx] - A_P[:, :nx].T @ g, rtol=0, atol=1e-12)
-    assert ws.const == pytest.approx(g @ [prog.rhs[k] for k in ws.pivots], abs=1e-12)
+    np.testing.assert_allclose(C, c[:nx] - A_P[:, :nx].T @ g, rtol=0, atol=1e-12)
+    assert const == pytest.approx(g @ prog.rhs[pivots], abs=1e-12)
+    # back: the kept rows' residuals are the reduced ones, and whatever
+    # the multipliers y of those rows, every free column is priced, F'dual = cf
+    rng = np.random.default_rng(29)
+    Xs = [h + h.T for h in (rng.standard_normal((n, n)) for n in prog.psd_blocks)]
+    y = rng.standard_normal(len(rows))
+    f, dual = back(Xs, y)
+    resid = prog.row_residuals(Xs, f)
+    x = np.concatenate([X.ravel() for X in Xs])
+    np.testing.assert_allclose(resid[rows], A @ x - b, rtol=0, atol=1e-12)
+    F = np.array([stacked(r)[nx:] for r in prog.rows])
+    cf = stacked(prog.objective)[nx:]
+    np.testing.assert_allclose(F.T @ dual, cf, rtol=0, atol=1e-12)
+    assert np.all(dual[report["dropped_empty"] + report["dropped_dependent"]] == 0.0)
 
 
 def test_row_presolve_makes_no_gram_sized_temporary():
@@ -692,7 +737,7 @@ def test_workspace_makes_no_second_gram_sized_temporary():
     tracemalloc.start()
     try:
         base = tracemalloc.get_traced_memory()[0]
-        _Workspace(prog)
+        _Workspace(prog.psd_blocks, *_presolve(prog)[0])
         peak = tracemalloc.get_traced_memory()[1] - base
     finally:
         tracemalloc.stop()
@@ -731,15 +776,51 @@ def test_presolve_reports_the_free_columns_it_removes():
     assert np.all(res.free_values[res.presolve["dropped_free"]] == 0.0)
 
 
+def combined_row(x, ra, y, rb):
+    """The row x ra + y rb, each key's coefficients summed."""
+    entries, free = defaultdict(float), defaultdict(float)
+    for w, r in ((x, ra), (y, rb)):
+        for b, i, j, c in r.entries:
+            entries[b, i, j] += w * c
+        for k, c in r.free:
+            free[k] += w * c
+    return Row(
+        entries=tuple((*key, c) for key, c in sorted(entries.items())),
+        free=tuple(sorted(free.items())), rhs=x * ra.rhs + y * rb.rhs,
+    )
+
+
+@pytest.mark.parametrize("form", ["dualview", "naive"])
+@pytest.mark.parametrize("x, y", [(0.1, 0.3), (1 / 3, 7.0), (1e3 / 7, -3.3)])
+def test_rows_dependent_through_free_columns_are_dropped_as_dependent(form, x, y):
+    # the planted row combines two rows that hold free entries; were the
+    # free scalars solved out before the row pass, its copy could lose its
+    # block entries to cancellation and read as empty, or another row drop
+    prog = assemble_hsos(gen_sphere_instance(2, 0), 2, form).program
+    ra, rb = [r for r in prog.rows if r.free][:2]
+    planted = RealConicProgram(
+        psd_blocks=prog.psd_blocks, n_free=prog.n_free,
+        rows=tuple(prog.rows) + (combined_row(x, ra, y, rb),),
+        objective=prog.objective, sense=prog.sense,
+    )
+    base, res = solve(prog, LOOSE), solve(planted, LOOSE)
+    assert base.presolve["dropped_dependent"] == []
+    assert res.status == "optimal"
+    assert res.presolve["dropped_empty"] == []
+    assert len(res.presolve["dropped_dependent"]) == 1
+    assert res.objective == pytest.approx(base.objective, rel=1e-9)
+
+
 @pytest.mark.parametrize("prog", [
     assemble_hsos(gen_sphere_instance(2, 0), 2, "dualview").program,
     assemble_hsos(gen_sphere_instance(2, 0), 2, "naive").program,
     min_diag_free_program(),
 ], ids=["sphere-2-2-dualview", "sphere-2-2-naive", "min_diag_free"])
 def test_free_scalars_are_solved_out_of_pivot_rows(prog):
-    ws = _Workspace(prog)
-    assert ws.free_idx.size and ws.A.shape[1] == ws.off[-1]
-    assert ws.m == len(ws.active) - len(ws.free_idx)
+    (A, *_), _, report, back = _presolve(prog)
+    n_kept = prog.n_free - len(report["dropped_free"])
+    assert n_kept and A.shape[1] == sum(n * n for n in prog.psd_blocks)
+    assert A.shape[0] == len(kept_rows(prog, report)) - n_kept
     res = solve(prog, LOOSE)
     assert res.status == "optimal"
     # each scalar's stationarity, F'dual = cf, holds through the pivot rows'
@@ -750,7 +831,9 @@ def test_free_scalars_are_solved_out_of_pivot_rows(prog):
     Fc[at, a.free_idx] = a.free_coef
     lhs, cf = Fc[1:].T @ res.dual_row_values, Fc[0]
     assert np.abs(lhs - cf).max() <= 1e-9 * (1.0 + np.abs(cf).max())
-    resid = prog.row_residuals(res.primal_blocks, res.free_values)[ws.pivots]
+    pivots, _ = pivot_rows(prog, report, back)
+    assert pivots.size == n_kept
+    resid = prog.row_residuals(res.primal_blocks, res.free_values)[pivots]
     assert np.abs(resid).max() <= LOOSE.tol_primal * (1.0 + np.abs(prog.rhs).max())
 
 
