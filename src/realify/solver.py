@@ -12,10 +12,11 @@ search direction and a dense Schur complement M for the row multipliers.
 Presolve is its own step ahead of the iteration's workspace: it drops empty
 and dependent rows, then solves each free scalar out of one pivot row, so
 the iteration carries PSD blocks and rows only, as one sparse operator over
-the stacked columns vec(X_0), ..., vec(X_{B-1}).  M is factored by a
-Cholesky with escalating diagonal shift, and each solve is refined against
-the unshifted M.  Everything is deterministic: identical inputs and options
-reproduce identical iterates on a given platform.
+the stacked columns vec(X_0), ..., vec(X_{B-1}).  Only M's upper triangle
+is assembled and read: a copy is factored in place by a Cholesky with
+escalating diagonal shift, and each solve is refined against the unshifted
+M.  Everything is deterministic: identical inputs and options reproduce
+identical iterates on a given platform.
 
 Designed for desk-scale problems (block dimension up to a few hundred, row
 counts in the low tens of thousands).  The Schur matrix is held dense but
@@ -260,12 +261,12 @@ class _Workspace:
         return [v[o:o + n * n].reshape(n, n) for o, n in zip(self.off, self.sizes)]
 
     def schur(self, Xs, Sinvs):
-        """M[k, l] = sum_b <A_kb, X_b A_lb S_b^-1>.
+        """The upper triangle of M[k, l] = sum_b <A_kb, X_b A_lb S_b^-1>.
 
         W_l = X A_l S^-1 takes two GEMMs for a dense row and the outer
         products sum_e c_e X[:, p_e] S^-1[q_e, :] for a sparse one; it needs
-        no symmetrizing, since every A_k is symmetric.  M[dense, sparse] is
-        filled from M[sparse, dense].
+        no symmetrizing, since every A_k is symmetric.  Column chunks meet
+        rows up to their end only; below the diagonal lie unread partial sums.
         """
         M = np.zeros((self.m, self.m))
         for b, n in enumerate(self.sizes):
@@ -277,7 +278,7 @@ class _Workspace:
                 cols = slice(c0, c0 + chunk)
                 Ac = Rd[cols].toarray()
                 W = (X @ Ac.reshape(-1, n, n) @ Sinv).reshape(len(Ac), -1)
-                for r0 in range(0, dense.size, chunk):
+                for r0 in range(0, c0 + 1, chunk):
                     rows = slice(r0, r0 + chunk)
                     Ar = Ac if r0 == c0 else Rd[rows].toarray()
                     _add_block(M, dense[rows], dense[cols], Ar @ W.T)
@@ -291,8 +292,8 @@ class _Workspace:
                 ent = cols, slice(0, np.diff(Rs.indptr[c0:c0 + chunk + 1]).max())
                 U = (X.T[p[ent]] * coef[ent][..., None]).transpose(0, 2, 1)
                 W = (U @ Sinv[q[ent]]).reshape(len(U), -1)
-                _add_block(M, sparse, sparse[cols], Rs @ W.T)
-        return 0.5 * (M + M.T)
+                _add_block(M, sparse[:c0 + chunk], sparse[cols], Rs[:c0 + chunk] @ W.T)
+        return M
 
 
 def _vec(Xs) -> np.ndarray:
@@ -327,22 +328,21 @@ def _independent(G: np.ndarray) -> np.ndarray:
 
 
 def _factor_spd(M: np.ndarray):
-    """Cholesky with escalating diagonal jitter for near-singular systems.
+    """Cholesky with escalating diagonal shift for near-singular systems.
 
-    The factor of M + shift I, for the first shift in 0, 1e-12, 1e-10, ...,
-    1e-4 (times the larger of 1 and M's largest diagonal entry) that
-    factors; None when none does.
+    The factor of M + shift I, from M's upper triangle, for the first shift
+    in 0, 1e-12, 1e-10, 1e-8, 1e-6, 1e-4 (times the larger of 1 and M's
+    largest diagonal entry) that factors; None when none does.  A copy is
+    factored in place, as its F-ordered transpose's lower triangle.
     """
     scale = max(float(M.diagonal().max(initial=0.0)), 1.0)
-    jitter = 0.0
-    for _ in range(6):
+    for shift in (0.0, 1e-12, 1e-10, 1e-8, 1e-6, 1e-4):
+        F = M.copy()
+        F.flat[::M.shape[0] + 1] += shift * scale
         try:
-            Mj = M if jitter == 0.0 else M + jitter * np.eye(M.shape[0])
-            return sla.cho_factor(Mj, lower=True, check_finite=False)
+            return sla.cho_factor(F.T, lower=True, overwrite_a=True, check_finite=False)
         except np.linalg.LinAlgError:
-            jitter = 1e-12 * scale if jitter == 0.0 else jitter * 100.0
-            if jitter > 1e-4 * scale:
-                break
+            pass
     return None
 
 
@@ -364,9 +364,8 @@ def _sym(A: np.ndarray) -> np.ndarray:
 def _finish(prog, opts, status, Xs, f_full, dual, res, iters, presolve) -> SolveResult:
     """SolveResult of ``prog``, its residuals rechecked over every row; a
     presolved-away row the solution misses demotes "optimal" to "infeasible"."""
-    blocks = tuple(_sym(X) for X in Xs)
     res = dict(res)
-    values = _values(prog.functionals, blocks, f_full)
+    values = _values(prog.functionals, Xs, f_full)
     if prog.n_rows:
         resid = values[1:] - prog.rhs
         full_p = float(np.abs(resid).max()) / (1.0 + float(np.abs(prog.rhs).max()))
@@ -374,7 +373,7 @@ def _finish(prog, opts, status, Xs, f_full, dual, res, iters, presolve) -> Solve
         if status == "optimal" and full_p > 10.0 * opts.tol_primal:
             status = "infeasible"
     return SolveResult(
-        status, float(values[0]), blocks, f_full, dual, res, iters, presolve,
+        status, float(values[0]), tuple(Xs), f_full, dual, res, iters, presolve,
     )
 
 
@@ -578,7 +577,8 @@ def _solve_direct(prog: RealConicProgram, opts: SolverOptions) -> SolveResult:
             # lost to the factorization's stabilizing shift
             dy = sla.cho_solve(Mf, h, check_finite=False)
             for _ in range(2):
-                dy = dy + sla.cho_solve(Mf, h - M @ dy, check_finite=False)
+                r = h - sla.blas.dsymv(1.0, M.T, dy, lower=1)
+                dy = dy + sla.cho_solve(Mf, r, check_finite=False)
             return dy
 
         def direction(sigma_mu, extras):
@@ -593,8 +593,7 @@ def _solve_direct(prog: RealConicProgram, opts: SolverOptions) -> SolveResult:
             ATdy = ws.apply_adjoint(dy)
             dS = [Rd[b] - ATdy[b] for b in range(len(ws.sizes))]
             dX = [
-                _sym(V[b] + _sym(Xs[b] @ ATdy[b] @ Sinvs[b]))
-                for b in range(len(ws.sizes))
+                V[b] + _sym(Xs[b] @ ATdy[b] @ Sinvs[b]) for b in range(len(ws.sizes))
             ]
             return dX, dS, dy
 
@@ -642,8 +641,8 @@ def _solve_direct(prog: RealConicProgram, opts: SolverOptions) -> SolveResult:
             stall = 0
 
         for b in range(len(ws.sizes)):
-            Xs[b] = _sym(Xs[b] + ap * dX[b])
-            Ss[b] = _sym(Ss[b] + ad * dS[b])
+            Xs[b] = Xs[b] + ap * dX[b]
+            Ss[b] = Ss[b] + ad * dS[b]
         y = y + ad * dy
     else:
         return finish("max_iter", *best, opts.max_iter)

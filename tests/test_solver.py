@@ -168,6 +168,19 @@ def test_minimize_sense_negates_consistently():
     assert a.objective == pytest.approx(-b.objective, abs=1e-6 * (1 + abs(a.objective)))
 
 
+def assert_same_bits(r1, r2):
+    assert r1.status == r2.status
+    assert r1.presolve == r2.presolve
+    assert r1.objective == r2.objective
+    assert all(
+        np.array_equal(a, b)
+        for a, b in zip(r1.primal_blocks, r2.primal_blocks)
+    )
+    assert np.array_equal(r1.dual_row_values, r2.dual_row_values)
+    assert np.array_equal(r1.free_values, r2.free_values)
+    assert r1.iterations == r2.iterations
+
+
 def test_solver_is_deterministic_to_the_bit():
     # the second program is in LMI form and is solved through its dual
     for build in (
@@ -176,16 +189,52 @@ def test_solver_is_deterministic_to_the_bit():
     ):
         r1 = solve(build(np.random.default_rng(23)))
         r2 = solve(build(np.random.default_rng(23)))
-        assert r1.presolve == r2.presolve
-        assert r1.objective == r2.objective
-        assert all(
-            np.array_equal(a, b)
-            for a, b in zip(r1.primal_blocks, r2.primal_blocks)
-        )
-        assert np.array_equal(r1.dual_row_values, r2.dual_row_values)
-        assert np.array_equal(r1.free_values, r2.free_values)
-        assert r1.iterations == r2.iterations
+        assert_same_bits(r1, r2)
     assert r1.presolve["dualized"] == [0]
+
+
+def small_programs():
+    """Sphere (2,2) in both forms and a planted complex SDP (4,6) in the
+    naive form and in LMI form, which is solved through its dual."""
+    sdp = planted_sdp(np.random.default_rng(24), 4, 6)[0]
+    return [
+        assemble_hsos(gen_sphere_instance(2, 0), 2, form).program
+        for form in ("dualview", "naive")
+    ] + [reformulate_primal_naive(sdp), reformulate_dual(sdp)]
+
+
+def test_solve_reads_only_the_upper_triangle_of_the_schur_matrix(monkeypatch):
+    # below its diagonal the Schur matrix holds partial sums; NaN there
+    # changes no bit of any result
+    progs = small_programs()
+    want = [solve(prog, LOOSE) for prog in progs]
+    schur = _Workspace.schur
+
+    def nan_below(self, Xs, Sinvs):
+        M = schur(self, Xs, Sinvs)
+        M[np.tril_indices_from(M, -1)] = np.nan
+        return M
+
+    monkeypatch.setattr(_Workspace, "schur", nan_below)
+    for prog, r in zip(progs, want):
+        assert r.status == "optimal"
+        assert_same_bits(solve(prog, LOOSE), r)
+
+
+def test_iterates_and_directions_are_exactly_symmetric(monkeypatch):
+    # A holds each block entry and its mirror with one coefficient, so no
+    # update of X, S, dX or dS needs a pass that re-imposes symmetry
+    max_step, calls = solver._max_step, []
+
+    def checked(P, D):
+        assert np.array_equal(P, P.T) and np.array_equal(D, D.T)
+        calls.append(P.shape)
+        return max_step(P, D)
+
+    monkeypatch.setattr(solver, "_max_step", checked)
+    for prog in small_programs():
+        assert solve(prog, LOOSE).status == "optimal"
+    assert len(calls) > 100
 
 
 def blas_threads():
@@ -626,7 +675,8 @@ def test_schur_matrix_matches_the_trace_formula(sizes, kinds):
     ref = schur_reference(ws, Xs, Sinvs)
     scale = np.abs(ref).max()
     assert np.abs(np.diag(M) - np.diag(ref)).max() <= 1e-12 * scale
-    assert np.abs(M - ref).max() <= 1e-12 * scale
+    # only the upper triangle is assembled
+    assert np.abs(np.triu(M - ref)).max() <= 1e-12 * scale
     # a kept row with free scalars only is a pivot row or takes the pivot
     # rows' block entries, so no row of the Schur system is empty
     assert any(not prog.rows[k].entries for k in kept_rows(prog, report))
@@ -745,16 +795,24 @@ def test_workspace_makes_no_second_gram_sized_temporary():
 
 
 def test_factor_spd_shifts_a_singular_matrix_and_rejects_an_indefinite_one():
-    singular = np.array([[1.0, 1.0], [1.0, 1.0]])
-    factor = _factor_spd(singular)
-    assert factor is not None
-    L = np.tril(factor[0])
-    shift = (L @ L.T - singular)[0, 0]
-    np.testing.assert_allclose(
-        L @ L.T, singular + shift * np.eye(2), rtol=0, atol=1e-15
-    )
-    # scale is max(1, largest diagonal entry) = 1
-    assert 0.0 < shift <= 1e-4
+    # scale is max(1, largest diagonal entry)
+    for M, scale, low, high in (
+        (np.array([[1.0, 1.0], [1.0, 1.0]]), 1.0, 0.0, 1e-4),
+        # only the largest shift, 1e-4 * scale, factors this one; 100-fold
+        # steps from 1e-12 * scale overshoot it at this scale
+        (np.diag([1234.5, -1e-5 * 1234.5]), 1234.5, 1e-6 * 1234.5, 1e-2 * 1234.5),
+    ):
+        given = M.copy()
+        factor = _factor_spd(M)
+        assert factor is not None
+        # the factor overwrites a copy only
+        assert np.array_equal(M, given)
+        L = np.tril(factor[0])
+        shift = (L @ L.T - M)[0, 0]
+        np.testing.assert_allclose(
+            L @ L.T, M + shift * np.eye(2), rtol=0, atol=1e-15 * scale
+        )
+        assert low < shift <= high
     assert _factor_spd(np.array([[1.0, 0.0], [0.0, -1.0]])) is None
 
 
