@@ -54,15 +54,19 @@ def _records_to_terms(records, s: int, where: str) -> dict:
     if not isinstance(records, list):
         raise ValueError(f"{where}: terms must be a list")
     terms: dict = {}
-    for rec in records:
+    for t, rec in enumerate(records):
         if not isinstance(rec, dict) or set(rec) != {"beta", "gamma", "re", "im"}:
             raise ValueError(
                 f"{where}: each term needs exactly beta, gamma, re, im"
             )
-        beta = tuple(rec["beta"])
-        gamma = tuple(rec["gamma"])
-        c = complex(float(rec["re"]), float(rec["im"]))
-        if (beta, gamma) in terms:
+        try:
+            beta, gamma = tuple(rec["beta"]), tuple(rec["gamma"])
+            c = complex(float(rec["re"]), float(rec["im"]))
+            duplicate = (beta, gamma) in terms
+        except (TypeError, ValueError) as exc:
+            # a non-list exponent, a nested one, or a non-numeric coefficient
+            raise ValueError(f"{where}, term {t}: malformed term ({exc})") from None
+        if duplicate:
             raise ValueError(f"{where}: duplicate term key {(beta, gamma)!r}")
         terms[(beta, gamma)] = c
     completed = False
@@ -89,7 +93,7 @@ def problem_from_dict(data: dict) -> CPOP:
             f"unsupported problem format version {data.get('version')!r}"
         )
     s = data.get("s")
-    if not isinstance(s, int) or s < 1:
+    if not isinstance(s, int) or isinstance(s, bool) or s < 1:
         raise ValueError("field s must be a positive integer")
     f = CPolynomial(s, _records_to_terms(data.get("objective"), s, "objective"))
     constraints = []

@@ -11,12 +11,12 @@ iteration on the symmetrized complementarity X S = mu I with the dual-scaled
 search direction and a dense Schur complement M for the row multipliers.
 Presolve is its own step ahead of the iteration's workspace: it drops empty
 and dependent rows, then solves each free scalar out of one pivot row, so
-the iteration carries PSD blocks and rows only, as one sparse operator over
-the stacked columns vec(X_0), ..., vec(X_{B-1}).  Only M's upper triangle
-is assembled and read: a copy is factored in place by a Cholesky with
-escalating diagonal shift, and each solve is refined against the unshifted
-M.  Everything is deterministic: identical inputs and options reproduce
-identical iterates on a given platform.
+the iteration carries PSD blocks and rows only.  The rows are held once, as
+each block's sparse slice over vec(X_b), which the operator, its adjoint and
+the Schur assembly all read.  Only M's upper triangle is assembled and read:
+a copy is factored in place by a Cholesky with escalating diagonal shift, and
+each solve is refined against the unshifted M.  Everything is deterministic:
+identical inputs and options reproduce identical iterates on a given platform.
 
 Designed for desk-scale problems (block dimension up to a few hundred, row
 counts in the low tens of thousands).  The Schur matrix is held dense but
@@ -113,10 +113,10 @@ class SolverOptions:
 
     def __post_init__(self) -> None:
         for name in ("tol_gap", "tol_primal", "tol_dual"):
-            if getattr(self, name) <= 0:
-                raise ValueError(f"{name} must be positive")
-        if self.max_iter < 1:
-            raise ValueError("max_iter must be at least 1")
+            if not 0 < getattr(self, name) < np.inf:  # NaN fails too
+                raise ValueError(f"{name} must be positive and finite")
+        if not isinstance(self.max_iter, (int, np.integer)) or self.max_iter < 1:
+            raise ValueError("max_iter must be an integer of at least 1")
 
 
 def _presolve(prog: RealConicProgram):
@@ -221,21 +221,21 @@ def _presolve(prog: RealConicProgram):
 
 
 class _Workspace:
-    """What an iteration reads: ``_presolve``'s reduced rows and objective,
-    and each block's rows split once, by stored entries, into the dense and
-    sparse rows of the Schur assembly."""
+    """What an iteration reads: ``_presolve``'s objective and reduced rows,
+    held once, as each block's column slice of the rows, split by stored
+    entries into the dense and sparse rows of the Schur assembly."""
 
     def __init__(self, sizes, A, b, c, row_norms, const):
-        self.sizes, self.A, self.b = list(sizes), A, b
-        self.row_norms, self.const, self.m = row_norms, const, A.shape[0]
-        self.off = off = np.r_[0, np.cumsum(np.array(self.sizes, dtype=np.intp) ** 2)]
+        self.sizes, self.b, self.m = list(sizes), b, A.shape[0]
+        self.row_norms, self.const = row_norms, const
+        off = np.r_[0, np.cumsum(np.array(self.sizes, dtype=np.intp) ** 2)]
         self.C = [c[o:o + n * n].reshape(n, n) for o, n in zip(off, self.sizes)]
 
         # Rows with more than n stored entries are dense (densified per
         # chunk); the others keep left-aligned, zero-padded entry lists.
-        self.schur_rows = []
+        self.blocks = []
         for o, n in zip(off, self.sizes):
-            Ab = self.A[:, o:o + n * n]
+            Ab = A[:, o:o + n * n]
             nnz = np.diff(Ab.indptr)
             dense = np.flatnonzero(nnz > n)
             sparse = np.flatnonzero((nnz > 0) & (nnz <= n))
@@ -245,42 +245,42 @@ class _Workspace:
             pos = np.zeros((sparse.size, int(nnz[sparse].max(initial=0))), dtype=int)
             coef = np.zeros(pos.shape)
             pos[slot], coef[slot] = Rs.indices, Rs.data
-            self.schur_rows.append(
-                (dense, Ab[dense], sparse, Rs, pos // n, pos % n, coef)
-            )
+            self.blocks.append((Ab, dense, sparse, pos // n, pos % n, coef))
 
         self.N = sum(self.sizes) if self.sizes else 1
         self.C_norm = max((float(np.linalg.norm(Cb)) for Cb in self.C), default=0.0)
 
     def apply(self, Xs):
-        return self.A @ _vec(Xs)
+        parts = (Ab @ X.ravel() for (Ab, *_), X in zip(self.blocks, Xs))
+        return sum(parts, np.zeros(self.m))
 
     def apply_adjoint(self, y):
         """A*(y) per block."""
-        v = self.A.T @ y
-        return [v[o:o + n * n].reshape(n, n) for o, n in zip(self.off, self.sizes)]
+        blocks = zip(self.blocks, self.sizes)
+        return [(Ab.T @ y).reshape(n, n) for (Ab, *_), n in blocks]
 
     def schur(self, Xs, Sinvs):
         """The upper triangle of M[k, l] = sum_b <A_kb, X_b A_lb S_b^-1>.
 
         W_l = X A_l S^-1 takes two GEMMs for a dense row and the outer
         products sum_e c_e X[:, p_e] S^-1[q_e, :] for a sparse one; it needs
-        no symmetrizing, since every A_k is symmetric.  Column chunks meet
-        rows up to their end only; below the diagonal lie unread partial sums.
+        no symmetrizing, since every A_k is symmetric.  Each block's rows
+        are read from its slice of the operator.  Column chunks meet rows
+        up to their end only; below the diagonal lie unread partial sums.
         """
         M = np.zeros((self.m, self.m))
         for b, n in enumerate(self.sizes):
-            dense, Rd, sparse, Rs, p, q, coef = self.schur_rows[b]
-            X, Sinv = Xs[b], Sinvs[b]
+            Ab, dense, sparse, p, q, coef = self.blocks[b]
+            X, Sinv, Rs = Xs[b], Sinvs[b], Ab[sparse]
             # Caps every temporary, the m_b x chunk products included.
             chunk = max(1, _CHUNK // max(n * n, dense.size + sparse.size))
             for c0 in range(0, dense.size, chunk):
                 cols = slice(c0, c0 + chunk)
-                Ac = Rd[cols].toarray()
+                Ac = Ab[dense[cols]].toarray()
                 W = (X @ Ac.reshape(-1, n, n) @ Sinv).reshape(len(Ac), -1)
                 for r0 in range(0, c0 + 1, chunk):
                     rows = slice(r0, r0 + chunk)
-                    Ar = Ac if r0 == c0 else Rd[rows].toarray()
+                    Ar = Ac if r0 == c0 else Ab[dense[rows]].toarray()
                     _add_block(M, dense[rows], dense[cols], Ar @ W.T)
                 if sparse.size:
                     T = Rs @ W.T
@@ -464,6 +464,7 @@ def _solve_direct(prog: RealConicProgram, opts: SolverOptions) -> SolveResult:
     """Run the interior-point method on ``prog`` itself."""
     reduced, infeasible, report, back = _presolve(prog)
     ws = _Workspace(prog.psd_blocks, *reduced)
+    del reduced  # the workspace holds the rows as its block slices
 
     def finish(status, Xs, y, res, iters):
         return _finish(prog, opts, status, Xs, *back(Xs, y), res, iters, report)
@@ -605,8 +606,7 @@ def _solve_direct(prog: RealConicProgram, opts: SolverOptions) -> SolveResult:
                 min((_max_step(Ss[b], dS[b]) for b in blocks), default=np.inf),
             )
 
-        zeros = [np.zeros((n, n)) for n in ws.sizes]
-        dX_a, dS_a, _ = direction(0.0, zeros)
+        dX_a, dS_a, _ = direction(0.0, zero_blocks)
         try:
             ap, ad = max_steps(dX_a, dS_a)
         except np.linalg.LinAlgError:

@@ -12,6 +12,7 @@ import realify
 from realify.cli import REPORT_FIELDS, REPORT_PREAMBLE, main
 from realify.relaxation import size_report
 from realify.polynomials import gen_sphere_instance
+from realify.problem_io import problem_to_dict
 
 
 def run(capsys, *argv):
@@ -222,6 +223,31 @@ def test_solve_nonoptimal_exits_two(tmp_path, capsys, sphere_file):
     )
     assert code == 2
     assert stdout.splitlines()[0] != "status=optimal"
+
+
+@pytest.mark.parametrize("tol", ["inf", "nan"])
+def test_solve_rejects_a_tolerance_that_is_not_finite_and_positive(
+    tmp_path, capsys, tol
+):
+    prob = tmp_path / "sphere.json"
+    assert main(["generate", "--family", "sphere", "--s", "2", "--seed", "0",
+                 "--out", str(prob)]) == 0
+    code, stdout, stderr = run(
+        capsys, "solve", "--in", str(prob), "--d", "2", "--tol", tol,
+    )
+    assert code == 3
+    assert "status=" not in stdout
+    assert "finite" in stderr
+
+
+def test_solve_rejects_a_malformed_term(tmp_path, capsys):
+    data = problem_to_dict(gen_sphere_instance(2, seed=0))
+    data["constraints"][0]["terms"][1]["beta"] = 1
+    prob = tmp_path / "bad.json"
+    prob.write_text(json.dumps(data))
+    code, _, stderr = run(capsys, "solve", "--in", str(prob), "--d", "2")
+    assert code == 3
+    assert "constraint 0, term 1" in stderr
 
 
 # -------------------------------------------------------------------- compare

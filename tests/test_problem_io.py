@@ -89,6 +89,19 @@ def test_schema_rejections():
             lambda d: d["constraints"][0].update(kind="le"),
             "unknown constraint kind",
         ),
+        (lambda d: d.update(s=True), "positive integer"),
+        (
+            lambda d: d["objective"][0].update(beta=1),
+            "objective, term 0: malformed term",
+        ),
+        (
+            lambda d: d["objective"][1].update(re=None),
+            "objective, term 1: malformed term",
+        ),
+        (
+            lambda d: d["constraints"][0]["terms"][0].update(beta=[[0]]),
+            "constraint 0, term 0: malformed term",
+        ),
     ):
         data = json.loads(json.dumps(good))
         mangle(data)

@@ -24,6 +24,7 @@ from realify import (
     assemble_hsos,
     gen_sphere_instance,
     reformulate_dual,
+    reformulate_primal_dualview,
     reformulate_primal_naive,
     solve,
 )
@@ -540,10 +541,13 @@ def test_breakdown_reports_the_steps_taken(monkeypatch, k):
 
 
 def test_solver_options_validate():
-    with pytest.raises(ValueError):
-        SolverOptions(tol_gap=0.0)
-    with pytest.raises(ValueError):
-        SolverOptions(max_iter=0)
+    for bad in (
+        dict(tol_gap=0.0), dict(tol_primal=np.inf), dict(tol_dual=np.nan),
+        dict(tol_gap=-np.inf), dict(max_iter=0), dict(max_iter=2.5),
+    ):
+        with pytest.raises(ValueError):
+            SolverOptions(**bad)
+    assert SolverOptions(max_iter=np.int64(3)).max_iter == 3
 
 
 def test_dual_multipliers_satisfy_stationarity():
@@ -627,12 +631,11 @@ def pivot_rows(prog, report, back):
 
 def schur_reference(ws, Xs, Sinvs):
     """M[k, l] = sum_b <A_kb, X_b A_lb S_b^-1> from dense coefficient matrices
-    of the workspace's rows."""
-    A = ws.A.toarray()
+    of the workspace's block slices of the rows."""
     M = np.zeros((ws.m, ws.m))
-    for b, n in enumerate(ws.sizes):
-        Ab = A[:, ws.off[b]:ws.off[b + 1]].reshape(-1, n, n)
-        M += np.tensordot(Ab, Xs[b] @ Ab @ Sinvs[b], axes=([1, 2], [1, 2]))
+    for (Ab, *_), X, Sinv, n in zip(ws.blocks, Xs, Sinvs, ws.sizes):
+        Ab = Ab.toarray().reshape(-1, n, n)
+        M += np.tensordot(Ab, X @ Ab @ Sinv, axes=([1, 2], [1, 2]))
     return M
 
 
@@ -680,7 +683,46 @@ def test_schur_matrix_matches_the_trace_formula(sizes, kinds):
     # a kept row with free scalars only is a pivot row or takes the pivot
     # rows' block entries, so no row of the Schur system is empty
     assert any(not prog.rows[k].entries for k in kept_rows(prog, report))
-    assert np.diff(ws.A.indptr).all() and np.diag(M).all()
+    stored = sum(np.diff(Ab.indptr) for Ab, *_ in ws.blocks)
+    assert stored.all() and np.diag(M).all()
+
+
+def test_block_slices_act_as_the_stacked_operator():
+    # three blocks: apply sums block by block, where the stacked A sums
+    # each row in one pass
+    rng = np.random.default_rng(31)
+    prog = rows_of_kinds(rng, (4, 5, 6), MIXED_KINDS, n_free=3)
+    reduced = _presolve(prog)[0]
+    ws = _Workspace(prog.psd_blocks, *reduced)
+    assert not hasattr(ws, "A")
+    Xs = [g + g.T for g in (rng.standard_normal((n, n)) for n in prog.psd_blocks)]
+    want = reduced[0] @ np.concatenate([X.ravel() for X in Xs])
+    got = ws.apply(Xs)
+    assert np.abs(got - want).max() <= 1e-13 * np.abs(want).max()
+    y = rng.standard_normal(ws.m)
+    lhs = y @ got
+    rhs = sum(np.tensordot(Z, X) for Z, X in zip(ws.apply_adjoint(y), Xs))
+    assert abs(lhs - rhs) <= 1e-12 * abs(lhs)
+
+
+@pytest.mark.parametrize("form", [reformulate_primal_dualview, reformulate_primal_naive])
+def test_workspace_keeps_one_copy_of_the_rows(form):
+    # one block whose data rows are dense, so a second copy of them would
+    # double what the workspace keeps; naive's structural rows are sparse,
+    # and their Schur entry lists (24 bytes an entry) come on top
+    prog = form(planted_sdp(np.random.default_rng(32), 16, 64)[0])
+    A = _presolve(prog)[0][0]
+    rows = A.data.nbytes + A.indices.nbytes + A.indptr.nbytes
+    del A
+    tracemalloc.start()
+    try:
+        base = tracemalloc.get_traced_memory()[0]
+        ws = _Workspace(prog.psd_blocks, *_presolve(prog)[0])
+        kept = tracemalloc.get_traced_memory()[0] - base
+    finally:
+        tracemalloc.stop()
+    assert ws.m > 0
+    assert kept <= 1.25 * rows
 
 
 def test_row_matrices_hold_each_entry_and_its_mirror():
