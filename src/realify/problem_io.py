@@ -61,10 +61,14 @@ def _records_to_terms(records, s: int, where: str) -> dict:
             )
         try:
             beta, gamma = tuple(rec["beta"]), tuple(rec["gamma"])
+            for v in (rec["re"], rec["im"]):
+                if isinstance(v, bool) or not isinstance(v, (int, float)):
+                    raise TypeError(f"coefficient {v!r} is not a JSON number")
             c = complex(float(rec["re"]), float(rec["im"]))
             duplicate = (beta, gamma) in terms
-        except (TypeError, ValueError) as exc:
-            # a non-list exponent, a nested one, or a non-numeric coefficient
+        except (TypeError, ValueError, OverflowError) as exc:
+            # a non-list or nested exponent, or a coefficient that is not a
+            # number (a string or a bool) or overflows a double
             raise ValueError(f"{where}, term {t}: malformed term ({exc})") from None
         if duplicate:
             raise ValueError(f"{where}: duplicate term key {(beta, gamma)!r}")

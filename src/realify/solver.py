@@ -15,8 +15,12 @@ the iteration carries PSD blocks and rows only.  The rows are held once, as
 each block's sparse slice over vec(X_b), which the operator, its adjoint and
 the Schur assembly all read.  Only M's upper triangle is assembled and read:
 a copy is factored in place by a Cholesky with escalating diagonal shift, and
-each solve is refined against the unshifted M.  Everything is deterministic:
-identical inputs and options reproduce identical iterates on a given platform.
+each solve is refined against M, recovering accuracy lost to M's conditioning
+(and to the shift, when one is applied).  Each iterate is factored once: one
+Cholesky of each X_b and S_b serves S_b^-1 and both step lengths; one
+breakdown exit catches every linear-algebra failure of an iteration.
+Everything is deterministic: identical inputs and options reproduce
+identical iterates on a given platform.
 
 Designed for desk-scale problems (block dimension up to a few hundred, row
 counts in the low tens of thousands).  The Schur matrix is held dense but
@@ -332,7 +336,8 @@ def _factor_spd(M: np.ndarray):
 
     The factor of M + shift I, from M's upper triangle, for the first shift
     in 0, 1e-12, 1e-10, 1e-8, 1e-6, 1e-4 (times the larger of 1 and M's
-    largest diagonal entry) that factors; None when none does.  A copy is
+    largest diagonal entry) that factors.  When none does it raises
+    LinAlgError, which the iteration's one breakdown exit catches.  A copy is
     factored in place, as its F-ordered transpose's lower triangle.
     """
     scale = max(float(M.diagonal().max(initial=0.0)), 1.0)
@@ -343,12 +348,15 @@ def _factor_spd(M: np.ndarray):
             return sla.cho_factor(F.T, lower=True, overwrite_a=True, check_finite=False)
         except np.linalg.LinAlgError:
             pass
-    return None
+    raise np.linalg.LinAlgError("no shift on the ladder factors M")
 
 
-def _max_step(P: np.ndarray, D: np.ndarray) -> float:
-    """sup { a : P + a*D PSD } for PD P, given exactly symmetric inputs."""
-    L = np.linalg.cholesky(P)
+def _max_step(L: np.ndarray, D: np.ndarray) -> float:
+    """sup { a : L L' + a*D PSD } for exactly symmetric D, from the iterate's
+    factor L, so nothing is factored here.  A non-finite D raises LinAlgError
+    for the one breakdown exit, which eigvalsh of a NaN need not do."""
+    if not np.isfinite(D).all():
+        raise np.linalg.LinAlgError("non-finite step direction")
     T = sla.solve_triangular(L, D, lower=True, check_finite=False)
     T = sla.solve_triangular(L, T.T, lower=True, check_finite=False)
     lam = float(np.linalg.eigvalsh(0.5 * (T + T.T))[0])
@@ -405,7 +413,7 @@ def solve(prog: RealConicProgram, options: SolverOptions | None = None) -> Solve
         dropped = r.presolve["dropped_empty"] + r.presolve["dropped_dependent"]
         return _finish(
             prog, opts, r.status, Xs, f, y / coef,
-            dict(res, primal_inf=res["dual_inf"], dual_inf=res["primal_inf"]),
+            dict(res, dual_inf=res["primal_inf"]),
             r.iterations, dict(
                 dropped_empty=[], dropped_dependent=[], dropped_free=sorted(dropped),
                 dualized=list(range(len(prog.psd_blocks))),
@@ -559,23 +567,9 @@ def _solve_direct(prog: RealConicProgram, opts: SolverOptions) -> SolveResult:
         mu = sum(float(np.tensordot(Xs[b], Ss[b])) for b in range(len(ws.sizes)))
         mu /= ws.N
 
-        try:
-            Sinvs = []
-            for b, n in enumerate(ws.sizes):
-                Lc = sla.cho_factor(Ss[b], lower=True, check_finite=False)
-                Sinvs.append(sla.cho_solve(Lc, np.eye(n), check_finite=False))
-            Sinvs = [_sym(S) for S in Sinvs]
-        except np.linalg.LinAlgError:
-            break
-
-        M = ws.schur(Xs, Sinvs)
-        Mf = _factor_spd(M)
-        if Mf is None:
-            break
-
         def solve_schur(h):
-            # refined against the unshifted M, which recovers the digits
-            # lost to the factorization's stabilizing shift
+            # refined against M itself: the refinement recovers accuracy lost
+            # to M's conditioning, and to the shift when one is applied
             dy = sla.cho_solve(Mf, h, check_finite=False)
             for _ in range(2):
                 r = h - sla.blas.dsymv(1.0, M.T, dy, lower=1)
@@ -599,46 +593,41 @@ def _solve_direct(prog: RealConicProgram, opts: SolverOptions) -> SolveResult:
             return dX, dS, dy
 
         def max_steps(dX, dS):
-            # raises LinAlgError when X or S has lost definiteness
             blocks = range(len(ws.sizes))
             return (
-                min((_max_step(Xs[b], dX[b]) for b in blocks), default=np.inf),
-                min((_max_step(Ss[b], dS[b]) for b in blocks), default=np.inf),
+                min((_max_step(LX[b], dX[b]) for b in blocks), default=np.inf),
+                min((_max_step(LS[b], dS[b]) for b in blocks), default=np.inf),
             )
 
-        dX_a, dS_a, _ = direction(0.0, zero_blocks)
+        # The one breakdown exit: X or S no longer positive definite, a Schur
+        # matrix no shift factors, or a non-finite direction.
         try:
+            LX = [np.linalg.cholesky(X) for X in Xs]
+            LS = [np.linalg.cholesky(S) for S in Ss]
+            Sinvs = [_sym(sla.cho_solve((L, True), np.eye(len(L)))) for L in LS]
+            M = ws.schur(Xs, Sinvs)
+            Mf = _factor_spd(M)
+            dX_a, dS_a, _ = direction(0.0, zero_blocks)
             ap, ad = max_steps(dX_a, dS_a)
-        except np.linalg.LinAlgError:
-            break
-        ap = min(1.0, ap)
-        ad = min(1.0, ad)
-        mu_aff = sum(
-            float(np.tensordot(Xs[b] + ap * dX_a[b], Ss[b] + ad * dS_a[b]))
-            for b in range(len(ws.sizes))
-        ) / ws.N
-        mu_aff = max(mu_aff, 0.0)
-        # Short affine steps mean a hard endgame: center more (smaller
-        # exponent) and step less aggressively.
-        expo = max(1.0, 3.0 * min(ap, ad) ** 2)
-        sigma = min(1.0, max((mu_aff / mu) ** expo if mu > 0 else 1.0, 1e-8))
-        gamma = min(0.98, 0.9 + 0.09 * min(ap, ad))
-
-        extras = [dX_a[b] @ dS_a[b] for b in range(len(ws.sizes))]
-        dX, dS, dy = direction(sigma * mu, extras)
-        try:
+            ap, ad = min(1.0, ap), min(1.0, ad)
+            mu_aff = max(sum(
+                float(np.tensordot(Xs[b] + ap * dX_a[b], Ss[b] + ad * dS_a[b]))
+                for b in range(len(ws.sizes))
+            ) / ws.N, 0.0)
+            # Short affine steps mean a hard endgame: center more (smaller
+            # exponent) and step less aggressively.
+            expo = max(1.0, 3.0 * min(ap, ad) ** 2)
+            sigma = min(1.0, max((mu_aff / mu) ** expo if mu > 0 else 1.0, 1e-8))
+            gamma = min(0.98, 0.9 + 0.09 * min(ap, ad))
+            extras = [dX_a[b] @ dS_a[b] for b in range(len(ws.sizes))]
+            dX, dS, dy = direction(sigma * mu, extras)
             ap, ad = max_steps(dX, dS)
         except np.linalg.LinAlgError:
             break
-        ap = min(1.0, gamma * ap)
-        ad = min(1.0, gamma * ad)
-
-        if ap < 1e-8 and ad < 1e-8:
-            stall += 1
-            if stall >= 3:
-                break
-        else:
-            stall = 0
+        ap, ad = min(1.0, gamma * ap), min(1.0, gamma * ad)
+        stall = stall + 1 if ap < 1e-8 and ad < 1e-8 else 0
+        if stall >= 3:
+            break
 
         for b in range(len(ws.sizes)):
             Xs[b] = Xs[b] + ap * dX[b]

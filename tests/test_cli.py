@@ -250,6 +250,17 @@ def test_solve_rejects_a_malformed_term(tmp_path, capsys):
     assert "constraint 0, term 1" in stderr
 
 
+def test_solve_rejects_a_coefficient_that_is_not_a_number(tmp_path, capsys):
+    # "1.0" is a JSON string, which float() would have read
+    data = problem_to_dict(gen_sphere_instance(2, seed=0))
+    data["objective"][0]["re"] = "1.0"
+    prob = tmp_path / "bad.json"
+    prob.write_text(json.dumps(data))
+    code, _, stderr = run(capsys, "solve", "--in", str(prob), "--d", "2")
+    assert code == 3
+    assert "objective, term 0" in stderr
+
+
 # -------------------------------------------------------------------- compare
 
 

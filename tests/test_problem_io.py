@@ -102,6 +102,15 @@ def test_schema_rejections():
             lambda d: d["constraints"][0]["terms"][0].update(beta=[[0]]),
             "constraint 0, term 0: malformed term",
         ),
+        # coefficients are JSON numbers: no string, no bool
+        (
+            lambda d: d["objective"][0].update(re="0.5"),
+            "objective, term 0: malformed term",
+        ),
+        (
+            lambda d: d["constraints"][0]["terms"][1].update(im=True),
+            "constraint 0, term 1: malformed term",
+        ),
     ):
         data = json.loads(json.dumps(good))
         mangle(data)

@@ -224,18 +224,56 @@ def test_solve_reads_only_the_upper_triangle_of_the_schur_matrix(monkeypatch):
 
 def test_iterates_and_directions_are_exactly_symmetric(monkeypatch):
     # A holds each block entry and its mirror with one coefficient, so no
-    # update of X, S, dX or dS needs a pass that re-imposes symmetry
-    max_step, calls = solver._max_step, []
+    # update of X, S, dX or dS needs a pass that re-imposes symmetry; X and
+    # S are checked where they are factored, dX and dS at their step lengths
+    cholesky, max_step, factored, calls = np.linalg.cholesky, solver._max_step, [], []
 
-    def checked(P, D):
-        assert np.array_equal(P, P.T) and np.array_equal(D, D.T)
-        calls.append(P.shape)
-        return max_step(P, D)
+    def checked_factor(P):
+        assert np.array_equal(P, P.T)
+        factored.append(P.shape)
+        return cholesky(P)
 
+    def checked(L, D):
+        assert np.array_equal(D, D.T)
+        calls.append(D.shape)
+        return max_step(L, D)
+
+    monkeypatch.setattr(np.linalg, "cholesky", checked_factor)
     monkeypatch.setattr(solver, "_max_step", checked)
     for prog in small_programs():
         assert solve(prog, LOOSE).status == "optimal"
-    assert len(calls) > 100
+    assert len(calls) > 100 and len(factored) > 50
+
+
+def test_each_iterate_is_factored_once(monkeypatch):
+    # per iteration, one Cholesky of each X_b and each S_b serves S_b^-1 and
+    # both step lengths; the Schur matrix's own factorization is not counted
+    prog = planted_program(np.random.default_rng(23), (3, 4), 8, 1)
+    factor_spd, in_schur, factored = solver._factor_spd, [False], [[]]
+
+    def counted(factor):
+        def wrapped(P, *args, **kwargs):
+            if not in_schur[0]:
+                factored[-1].append(len(P))
+            return factor(P, *args, **kwargs)
+        return wrapped
+
+    def schur_factor(M):
+        in_schur[0] = True
+        try:
+            return factor_spd(M)
+        finally:
+            in_schur[0] = False
+            factored.append([])
+
+    monkeypatch.setattr(np.linalg, "cholesky", counted(np.linalg.cholesky))
+    monkeypatch.setattr(solver.sla, "cho_factor", counted(solver.sla.cho_factor))
+    monkeypatch.setattr(solver, "_factor_spd", schur_factor)
+    res = solve(prog)
+    assert res.status == "optimal" and res.iterations > 5
+    # the sizes factored before each Schur factorization, and none after the
+    # last, since the converged iterate takes no step
+    assert [sorted(f) for f in factored] == [[3, 3, 4, 4]] * res.iterations + [[]]
 
 
 def blas_threads():
@@ -526,18 +564,38 @@ def test_max_iter_exhaustion_reports_best_iterate():
 
 @pytest.mark.parametrize("k", [0, 3])
 def test_breakdown_reports_the_steps_taken(monkeypatch, k):
-    # the (k + 1)-th Schur factorization fails, after k steps
-    calls = []
+    # the (k + 1)-th iteration breaks down, after k steps, at each site: no
+    # shift factors its Schur matrix, its S is not positive definite, or its
+    # direction is NaN, which the step-length test rejects
+    cholesky = np.linalg.cholesky
+    for site in ("schur", "slack", "direction"):
+        calls = []
 
-    def failing(M):
-        if M.size:
+        def failing(M):
             calls.append(M)
-        return None if len(calls) == k + 1 else _factor_spd(M)
+            if len(calls) < k + 1:
+                return _factor_spd(M)
+            if site == "schur":
+                raise np.linalg.LinAlgError("no shift factors M")
+            c, lower = _factor_spd(M)
+            return np.full_like(c, np.nan), lower
 
-    monkeypatch.setattr("realify.solver._factor_spd", failing)
-    res = solve(max_corner_program())
-    assert res.status == "numerical"
-    assert res.iterations == k
+        def failing_cholesky(P):
+            # one block: each iteration factors X, then S
+            calls.append(P)
+            if len(calls) == 2 * k + 2:
+                raise np.linalg.LinAlgError("S is not positive definite")
+            return cholesky(P)
+
+        with monkeypatch.context() as patch:
+            if site == "slack":
+                patch.setattr(np.linalg, "cholesky", failing_cholesky)
+            else:
+                patch.setattr(solver, "_factor_spd", failing)
+            res = solve(max_corner_program())
+        assert len(calls) == (2 * k + 2 if site == "slack" else k + 1)
+        assert res.status == "numerical"
+        assert res.iterations == k
 
 
 def test_solver_options_validate():
@@ -846,7 +904,6 @@ def test_factor_spd_shifts_a_singular_matrix_and_rejects_an_indefinite_one():
     ):
         given = M.copy()
         factor = _factor_spd(M)
-        assert factor is not None
         # the factor overwrites a copy only
         assert np.array_equal(M, given)
         L = np.tril(factor[0])
@@ -855,7 +912,8 @@ def test_factor_spd_shifts_a_singular_matrix_and_rejects_an_indefinite_one():
             L @ L.T, M + shift * np.eye(2), rtol=0, atol=1e-15 * scale
         )
         assert low < shift <= high
-    assert _factor_spd(np.array([[1.0, 0.0], [0.0, -1.0]])) is None
+    with pytest.raises(np.linalg.LinAlgError):
+        _factor_spd(np.array([[1.0, 0.0], [0.0, -1.0]]))
 
 
 def test_presolve_reports_the_free_columns_it_removes():
