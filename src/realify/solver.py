@@ -13,12 +13,13 @@ Presolve is its own step ahead of the iteration's workspace: it drops empty
 and dependent rows, then solves each free scalar out of one pivot row, so
 the iteration carries PSD blocks and rows only.  The rows are held once, as
 each block's sparse slice over vec(X_b), which the operator, its adjoint and
-the Schur assembly all read.  Only M's upper triangle is assembled and read:
-a copy is factored in place by a Cholesky with escalating diagonal shift, and
-each solve is refined against M, recovering accuracy lost to M's conditioning
-(and to the shift, when one is applied).  Each iterate is factored once: one
-Cholesky of each X_b and S_b serves S_b^-1 and both step lengths; one
-breakdown exit catches every linear-algebra failure of an iteration.
+the Schur assembly all read.  Only M's upper triangle is assembled and read,
+by a Cholesky of a copy, or where M is singular to working precision (the
+naive form's degenerate optimal face) by a pivoted Cholesky cut at the rank
+it reveals, the solve putting zero on the rows it drops; each solve is
+refined twice against M, for the accuracy lost to M's conditioning.  Each
+iterate is factored once: one Cholesky of each X_b and S_b serves S_b^-1 and
+both step lengths; one breakdown exit catches every linear-algebra failure.
 Everything is deterministic: identical inputs and options reproduce
 identical iterates on a given platform.
 
@@ -332,23 +333,21 @@ def _independent(G: np.ndarray) -> np.ndarray:
 
 
 def _factor_spd(M: np.ndarray):
-    """Cholesky with escalating diagonal shift for near-singular systems.
+    """(L, kept): a Cholesky factor from M's upper triangle, L L' = M[kept][:, kept].
 
-    The factor of M + shift I, from M's upper triangle, for the first shift
-    in 0, 1e-12, 1e-10, 1e-8, 1e-6, 1e-4 (times the larger of 1 and M's
-    largest diagonal entry) that factors.  When none does it raises
-    LinAlgError, which the iteration's one breakdown exit catches.  A copy is
-    factored in place, as its F-ordered transpose's lower triangle.
+    LAPACK's dpotrf factors a copy, read as its F-ordered transpose's lower
+    triangle, and keeps every row.  Where that fails, M singular to working
+    precision, dpstrf's pivoted Cholesky at its default tolerance keeps the
+    pivots up to the rank it reveals (Higham 1990).  With no positive pivot
+    it raises LinAlgError, which the iteration's one breakdown exit catches.
     """
-    scale = max(float(M.diagonal().max(initial=0.0)), 1.0)
-    for shift in (0.0, 1e-12, 1e-10, 1e-8, 1e-6, 1e-4):
-        F = M.copy()
-        F.flat[::M.shape[0] + 1] += shift * scale
-        try:
-            return sla.cho_factor(F.T, lower=True, overwrite_a=True, check_finite=False)
-        except np.linalg.LinAlgError:
-            pass
-    raise np.linalg.LinAlgError("no shift on the ladder factors M")
+    L, info = sla.lapack.dpotrf(M.T, lower=1, clean=0)
+    if info == 0:
+        return L, slice(None)
+    L, piv, rank, _ = sla.lapack.dpstrf(M.T, lower=1)
+    if rank == 0:
+        raise np.linalg.LinAlgError("no pivot of M is positive")
+    return L[:rank, :rank], piv[:rank] - 1
 
 
 def _max_step(L: np.ndarray, D: np.ndarray) -> float:
@@ -568,12 +567,13 @@ def _solve_direct(prog: RealConicProgram, opts: SolverOptions) -> SolveResult:
         mu /= ws.N
 
         def solve_schur(h):
-            # refined against M itself: the refinement recovers accuracy lost
-            # to M's conditioning, and to the shift when one is applied
-            dy = sla.cho_solve(Mf, h, check_finite=False)
+            # on the factor's kept rows, zero on the rest, and refined twice
+            # against M itself for the accuracy lost to M's conditioning
+            dy = np.zeros(ws.m)
+            dy[kept] = sla.cho_solve((Mf, True), h[kept], check_finite=False)
             for _ in range(2):
                 r = h - sla.blas.dsymv(1.0, M.T, dy, lower=1)
-                dy = dy + sla.cho_solve(Mf, r, check_finite=False)
+                dy[kept] += sla.cho_solve((Mf, True), r[kept], check_finite=False)
             return dy
 
         def direction(sigma_mu, extras):
@@ -600,13 +600,13 @@ def _solve_direct(prog: RealConicProgram, opts: SolverOptions) -> SolveResult:
             )
 
         # The one breakdown exit: X or S no longer positive definite, a Schur
-        # matrix no shift factors, or a non-finite direction.
+        # matrix with no positive pivot, or a non-finite direction.
         try:
             LX = [np.linalg.cholesky(X) for X in Xs]
             LS = [np.linalg.cholesky(S) for S in Ss]
             Sinvs = [_sym(sla.cho_solve((L, True), np.eye(len(L)))) for L in LS]
             M = ws.schur(Xs, Sinvs)
-            Mf = _factor_spd(M)
+            Mf, kept = _factor_spd(M)
             dX_a, dS_a, _ = direction(0.0, zero_blocks)
             ap, ad = max_steps(dX_a, dS_a)
             ap, ad = min(1.0, ap), min(1.0, ad)

@@ -222,6 +222,17 @@ def test_naive_and_dualview_share_the_optimum():
         assert abs(rn.objective - rv.objective) <= 1e-6 * (1 + abs(rv.objective))
 
 
+def test_both_primal_forms_reach_optimal_on_the_knife_edge():
+    # the naive form's structural rows leave its optimal face primal
+    # degenerate, so its Schur matrix turns singular to working precision
+    # near the optimum; both forms still meet the default tolerances
+    for seed in range(40):
+        sdp, _ = planted_sdp(np.random.default_rng(seed), 5, 8)
+        for reformulate in (reformulate_primal_naive, reformulate_primal_dualview):
+            res = solve(reformulate(sdp), SolverOptions())
+            assert res.status == "optimal", (seed, reformulate.__name__)
+
+
 def test_dual_form_closes_the_gap():
     rng = np.random.default_rng(14)
     for n, m in [(2, 3), (3, 3), (4, 5)]:

@@ -12,6 +12,7 @@ from collections import defaultdict
 
 import numpy as np
 import pytest
+import scipy.linalg as sla
 
 import realify.solver as solver
 from realify import (
@@ -182,15 +183,28 @@ def assert_same_bits(r1, r2):
     assert r1.iterations == r2.iterations
 
 
-def test_solver_is_deterministic_to_the_bit():
-    # the second program is in LMI form and is solved through its dual
-    for build in (
-        lambda rng: planted_program(rng, (3, 4), 8, 1),
-        lambda rng: reformulate_dual(planted_sdp(rng, 4, 6)[0]),
+def test_solver_is_deterministic_to_the_bit(monkeypatch):
+    # the second program's Schur matrix turns singular near the optimum, so
+    # it takes the pivoted fallback; the last is in LMI form and is solved
+    # through its dual
+    factor_spd, fallbacks = solver._factor_spd, []
+
+    def spy(M):
+        L, kept = factor_spd(M)
+        fallbacks.append(isinstance(kept, np.ndarray))
+        return L, kept
+
+    monkeypatch.setattr(solver, "_factor_spd", spy)
+    for build, seed in (
+        (lambda rng: planted_program(rng, (3, 4), 8, 1), 23),
+        (lambda rng: reformulate_primal_naive(planted_sdp(rng, 5, 8)[0]), 2),
+        (lambda rng: reformulate_dual(planted_sdp(rng, 4, 6)[0]), 23),
     ):
-        r1 = solve(build(np.random.default_rng(23)))
-        r2 = solve(build(np.random.default_rng(23)))
+        fallbacks.clear()
+        r1 = solve(build(np.random.default_rng(seed)))
+        r2 = solve(build(np.random.default_rng(seed)))
         assert_same_bits(r1, r2)
+        assert any(fallbacks) == (seed == 2)
     assert r1.presolve["dualized"] == [0]
 
 
@@ -564,9 +578,9 @@ def test_max_iter_exhaustion_reports_best_iterate():
 
 @pytest.mark.parametrize("k", [0, 3])
 def test_breakdown_reports_the_steps_taken(monkeypatch, k):
-    # the (k + 1)-th iteration breaks down, after k steps, at each site: no
-    # shift factors its Schur matrix, its S is not positive definite, or its
-    # direction is NaN, which the step-length test rejects
+    # the (k + 1)-th iteration breaks down, after k steps, at each site: its
+    # Schur matrix has no positive pivot, its S is not positive definite, or
+    # its direction is NaN, which the step-length test rejects
     cholesky = np.linalg.cholesky
     for site in ("schur", "slack", "direction"):
         calls = []
@@ -576,9 +590,9 @@ def test_breakdown_reports_the_steps_taken(monkeypatch, k):
             if len(calls) < k + 1:
                 return _factor_spd(M)
             if site == "schur":
-                raise np.linalg.LinAlgError("no shift factors M")
-            c, lower = _factor_spd(M)
-            return np.full_like(c, np.nan), lower
+                raise np.linalg.LinAlgError("no pivot of M is positive")
+            L, kept = _factor_spd(M)
+            return np.full_like(L, np.nan), kept
 
         def failing_cholesky(P):
             # one block: each iteration factors X, then S
@@ -894,26 +908,31 @@ def test_workspace_makes_no_second_gram_sized_temporary():
     assert peak < 1.5 * gram
 
 
-def test_factor_spd_shifts_a_singular_matrix_and_rejects_an_indefinite_one():
-    # scale is max(1, largest diagonal entry)
-    for M, scale, low, high in (
-        (np.array([[1.0, 1.0], [1.0, 1.0]]), 1.0, 0.0, 1e-4),
-        # only the largest shift, 1e-4 * scale, factors this one; 100-fold
-        # steps from 1e-12 * scale overshoot it at this scale
-        (np.diag([1234.5, -1e-5 * 1234.5]), 1234.5, 1e-6 * 1234.5, 1e-2 * 1234.5),
-    ):
+def test_factor_spd_keeps_the_rank_its_pivots_reveal():
+    # a positive definite M keeps every row, with cho_factor's factor to the
+    # bit; where the plain Cholesky fails, L L' = M[kept][:, kept] on the
+    # pivots up to the revealed rank, and no positive pivot raises
+    def factored(M):
         given = M.copy()
-        factor = _factor_spd(M)
+        L, kept = _factor_spd(M)
         # the factor overwrites a copy only
         assert np.array_equal(M, given)
-        L = np.tril(factor[0])
-        shift = (L @ L.T - M)[0, 0]
-        np.testing.assert_allclose(
-            L @ L.T, M + shift * np.eye(2), rtol=0, atol=1e-15 * scale
-        )
-        assert low < shift <= high
-    with pytest.raises(np.linalg.LinAlgError):
-        _factor_spd(np.array([[1.0, 0.0], [0.0, -1.0]]))
+        return np.tril(L), kept
+
+    G = np.random.default_rng(26).standard_normal((6, 6))
+    spd = G @ G.T + np.eye(6)
+    L, kept = factored(spd)
+    assert kept == slice(None)
+    assert np.array_equal(L, np.tril(sla.cho_factor(spd, lower=True)[0]))
+    L, kept = factored(np.ones((2, 2)))
+    assert len(kept) == 1 and np.array_equal(L @ L.T, np.ones((1, 1)))
+    L, kept = factored(np.diag([1.0, -1.0]))
+    assert np.array_equal(kept, [0]) and np.array_equal(L, np.ones((1, 1)))
+    for M in (-np.eye(2), np.zeros((2, 2))):
+        given = M.copy()
+        with pytest.raises(np.linalg.LinAlgError):
+            _factor_spd(M)
+        assert np.array_equal(M, given)
 
 
 def test_presolve_reports_the_free_columns_it_removes():
