@@ -111,6 +111,8 @@ def cmd_relax(args) -> int:
 
 def cmd_solve(args) -> int:
     p = load_problem(args.path)
+    n = args.check_sample
+    rep = None if n is None else sample_upper_bound(p, n, seed=0)  # before the solve
     art = assemble_hsos(p, args.d, args.form)
     opts = _options(args)
     res = solve(art.program, opts)
@@ -131,8 +133,7 @@ def cmd_solve(args) -> int:
             fh.write("\n")
     print(f"status={res.status}")
     print(f"optimum={res.objective!r}")
-    if args.check_sample is not None:
-        rep = sample_upper_bound(p, args.check_sample, seed=0)
+    if rep is not None:
         print(f"sample_bound={rep.best_value!r}")
         if res.objective > rep.best_value + 1e-6:
             print(

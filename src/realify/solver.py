@@ -57,7 +57,7 @@ from .program import RealConicProgram, SolveResult, _values
 __all__ = ["SolverOptions", "solve"]
 
 _TINY = 1e-13
-# Element cap on every Schur assembly temporary (16 MB of float64).
+# Element cap on every row Gram and Schur assembly temporary (16 MB of float64).
 _CHUNK = 2_097_152
 
 
@@ -146,7 +146,8 @@ def _presolve(prog: RealConicProgram):
     and with g = F_P^-T cf the objective is <c - A_P' g, x> + g.b_P.  A
     dropped column is F W, priced at W'cf = F_PD' g; a dropped scalar whose
     price misses that, to 1e-9 relative, makes the stated sense unbounded,
-    as an empty row with a nonzero rhs makes the program infeasible.
+    as an empty row with a nonzero rhs makes the program infeasible.  The
+    row Gram is A A' to the bit, its dense rows met by sparse x dense products.
 
     ``back(Xs, y)`` gives f = F_P^-1 (b_P - A_P x), zero where dropped, and
     each row's multiplier: y on R, g - T'y on the pivot rows, zero on
@@ -174,11 +175,21 @@ def _presolve(prog: RealConicProgram):
     A = A[1:]
 
     # The row Gram's diagonal holds the squared row norms; a zero marks an
-    # empty row, which with a nonzero rhs certifies infeasibility.
-    G = (A @ A.T).toarray(order="F")
+    # empty row, which with a nonzero rhs certifies infeasibility.  Rows with
+    # more stored entries than sum n_b leave A_s for sparse x dense products
+    # per _CHUNK elements, which sum over ascending column index as A A' does.
+    nnz, n = np.diff(A.indptr), sizes.sum()
+    keep = np.repeat(nnz <= n, nnz)
+    A_s = sp.csr_matrix(
+        (A.data[keep], A.indices[keep], np.r_[0, np.cumsum(nnz * (nnz <= n))]), A.shape)
+    G = (A_s @ A_s.T).toarray(order="F")
+    dense, chunk = np.flatnonzero(nnz > n), max(1, _CHUNK // max(1, *A.shape))
+    for rows in np.split(dense, np.arange(chunk, dense.size, chunk)):
+        G[:, rows] = A @ A[rows].toarray().T
+        G[rows] = G[:, rows].T
     norms = np.sqrt(np.diag(G))
     active = _independent(G)
-    del G
+    del G, A_s
     dropped = np.delete(np.arange(prog.n_rows), active)
     empty = dropped[norms[dropped] == 0.0]
     infeasible = bool(np.any(np.abs(prog.rhs[empty]) > _TINY))

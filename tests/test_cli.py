@@ -215,6 +215,29 @@ def test_solve_writes_result_and_checks_sample(tmp_path, capsys):
     ) + 1e-6
 
 
+@pytest.mark.parametrize("count, kind", [("0", "eq"), ("-3", "eq"), ("1000", "ge")])
+def test_solve_refuses_an_unusable_sample_before_solving(
+    tmp_path, capsys, monkeypatch, count, kind
+):
+    # a count below 1, or a sphere held as an inequality, which sampling
+    # cannot draw feasible points from
+    data = problem_to_dict(gen_sphere_instance(2, seed=0))
+    data["constraints"][0]["kind"] = kind
+    prob, result = tmp_path / "p.json", tmp_path / "res.json"
+    prob.write_text(json.dumps(data))
+    solves = []
+    monkeypatch.setattr("realify.cli.solve", lambda *args: solves.append(args))
+    code, stdout, stderr = run(
+        capsys, "solve", "--in", str(prob), "--d", "2", "--out", str(result),
+        "--check-sample", count,
+    )
+    assert code == 3
+    assert solves == []
+    assert not result.exists()
+    assert stdout == ""
+    assert stderr.startswith("error: ")
+
+
 def test_solve_nonoptimal_exits_two(tmp_path, capsys, sphere_file):
     # A tolerance far below attainable forces a non-optimal status.
     code, stdout, _ = run(

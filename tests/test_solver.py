@@ -13,6 +13,7 @@ from collections import defaultdict
 import numpy as np
 import pytest
 import scipy.linalg as sla
+import scipy.sparse as sp
 
 import realify.solver as solver
 from realify import (
@@ -906,6 +907,95 @@ def test_workspace_makes_no_second_gram_sized_temporary():
     finally:
         tracemalloc.stop()
     assert peak < 1.5 * gram
+
+
+def stacked_rows(prog):
+    """The rows as one CSR over vec(X_0), ..., vec(X_{B-1}) and the free
+    scalars, each block entry beside its mirror, built dense and apart from
+    presolve."""
+    a, sizes = prog.functionals, np.array(prog.psd_blocks, dtype=np.intp)
+    off = np.r_[0, np.cumsum(sizes * sizes)]
+    at = np.arange(len(a.indptr) - 1)
+    fun = np.repeat(at, np.diff(a.indptr))
+    A = np.zeros((at.size, off[-1] + prog.n_free))
+    A[fun, off[a.blk] + a.i * sizes[a.blk] + a.j] = a.coef
+    A[fun, off[a.blk] + a.j * sizes[a.blk] + a.i] = a.coef
+    A[np.repeat(at, np.diff(a.free_indptr)), off[-1] + a.free_idx] = a.free_coef
+    return sp.csr_matrix(A[1:])
+
+
+def test_row_gram_equals_the_sparse_product_to_the_bit(monkeypatch):
+    # A row with more stored entries than sum n_b meets the Gram densified,
+    # here two rows to a chunk.  The naive form, the LMI form and three
+    # blocks with free columns mix such rows with sparse ones; the odd rows
+    # of the last store 17 or 18 entries against sum n_b = 15.
+    sdp = planted_sdp(np.random.default_rng(33), 5, 8)[0]
+    kinds = [
+        ("dense", "diag", "dense") if k % 2 else ("off", None, "pair") for k in range(12)
+    ]
+    mixed = [
+        reformulate_primal_naive(sdp), reformulate_dual(sdp),
+        rows_of_kinds(np.random.default_rng(34), (4, 5, 6), kinds, n_free=3),
+    ]
+    no_rows = RealConicProgram(
+        psd_blocks=(3,), n_free=1, rows=(),
+        objective=LinearFunctional(((0, 0, 0, 1.0),), ((0, 1.0),)), sense="minimize",
+    )
+    # _independent overwrites its Gram, so the spy keeps a copy
+    grams, independent = [], solver._independent
+
+    def spy(G):
+        grams.append(G.copy())
+        return independent(G)
+
+    monkeypatch.setattr(solver, "_independent", spy)
+    for prog in mixed + [no_rows]:
+        A = stacked_rows(prog)
+        dense = np.count_nonzero(np.diff(A.indptr) > sum(prog.psd_blocks))
+        monkeypatch.setattr(solver, "_CHUNK", 2 * max(A.shape))
+        grams.clear()
+        _presolve(prog)
+        assert grams[0].shape == (prog.n_rows, prog.n_rows)
+        assert np.array_equal(grams[0], (A @ A.T).toarray())
+        if prog is not no_rows:
+            # at least three chunks of dense rows, and sparse rows besides
+            assert 4 < dense < prog.n_rows
+
+
+def test_row_gram_peaks_a_few_chunks_above_the_gram(monkeypatch):
+    # 600 dense rows of a 24 x 24 block: the Gram (2.9 MB) outweighs the
+    # operator's build, so the peak before the row pass is the Gram's.  A
+    # chunk holds its rows densified, the C-ordered copy of their transpose
+    # that the sparse x dense product takes, and the product: three
+    # temporaries of at most _CHUNK elements, where the sparse product of
+    # all the rows peaked at 68 chunks above the Gram.
+    n, m, per_row = 24, 600, 20
+    rng = np.random.default_rng(35)
+    iu = np.triu_indices(n)
+    picks = np.concatenate(
+        [rng.choice(iu[0].size, per_row, replace=False) for _ in range(m)]
+    )
+    prog = RealConicProgram.from_arrays(
+        (n,), 0, (np.r_[0, np.full(m, per_row)], np.zeros(picks.size, np.intp),
+                  iu[0][picks], iu[1][picks], rng.standard_normal(picks.size)),
+        rng.standard_normal(m), sense="minimize",
+    )
+    cap = 20 * m
+    monkeypatch.setattr(solver, "_CHUNK", cap)
+    seen, independent = [], solver._independent
+
+    def spy(G):
+        seen.append(tracemalloc.get_traced_memory())
+        return independent(G)
+
+    monkeypatch.setattr(solver, "_independent", spy)
+    tracemalloc.start()
+    try:
+        _presolve(prog)
+    finally:
+        tracemalloc.stop()
+    (live, peak), _ = seen
+    assert peak - live < 3.25 * cap * 8
 
 
 def test_factor_spd_keeps_the_rank_its_pivots_reveal():
