@@ -23,11 +23,11 @@ both step lengths; one breakdown exit catches every linear-algebra failure.
 Everything is deterministic: identical inputs and options reproduce
 identical iterates on a given platform.
 
-Designed for desk-scale problems (block dimension up to a few hundred, row
-counts in the low tens of thousands).  The Schur matrix is held dense but
-assembled by row sparsity: a row with more than n stored entries in an n x n
-block goes through BLAS products, any other row through outer products of
-its entries (Fujisawa, Kojima and Nakata, Math. Prog. 79, 1997).
+Designed for desk-scale problems (blocks up to a few hundred, rows in the low
+tens of thousands).  The Schur matrix is held dense but assembled by row
+sparsity, a row with more than n stored entries in an n x n block by BLAS
+products, any other by outer products of its entries (Fujisawa, Kojima and
+Nakata, Math. Prog. 79, 1997), in tiles whose temporaries fit a core's L2.
 
 A program whose rows pin every block entry once, a linear matrix inequality
 in its free scalars such as ``reformulate_dual`` builds, is solved through
@@ -57,8 +57,9 @@ from .program import RealConicProgram, SolveResult, _values
 __all__ = ["SolverOptions", "solve"]
 
 _TINY = 1e-13
-# Element cap on every row Gram and Schur assembly temporary (16 MB of float64).
-_CHUNK = 2_097_152
+# Element cap on every temporary of a row Gram or Schur tile, the m x tile
+# products included: 2 MB of float64, a core's L2, so a tile works in cache.
+_CHUNK = 262_144
 
 
 def _openblas() -> list:
@@ -117,10 +118,13 @@ class SolverOptions:
     max_iter: int = 200
 
     def __post_init__(self) -> None:
+        # a bool is an int to Python: True would be a tolerance or a cap of 1
         for name in ("tol_gap", "tol_primal", "tol_dual"):
-            if not 0 < getattr(self, name) < np.inf:  # NaN fails too
+            tol = getattr(self, name)
+            if isinstance(tol, (bool, np.bool_)) or not 0 < tol < np.inf:  # NaN fails
                 raise ValueError(f"{name} must be positive and finite")
-        if not isinstance(self.max_iter, (int, np.integer)) or self.max_iter < 1:
+        it = self.max_iter
+        if isinstance(it, bool) or not isinstance(it, (int, np.integer)) or it < 1:
             raise ValueError("max_iter must be an integer of at least 1")
 
 
@@ -288,7 +292,6 @@ class _Workspace:
         for b, n in enumerate(self.sizes):
             Ab, dense, sparse, p, q, coef = self.blocks[b]
             X, Sinv, Rs = Xs[b], Sinvs[b], Ab[sparse]
-            # Caps every temporary, the m_b x chunk products included.
             chunk = max(1, _CHUNK // max(n * n, dense.size + sparse.size))
             for c0 in range(0, dense.size, chunk):
                 cols = slice(c0, c0 + chunk)

@@ -617,6 +617,8 @@ def test_solver_options_validate():
     for bad in (
         dict(tol_gap=0.0), dict(tol_primal=np.inf), dict(tol_dual=np.nan),
         dict(tol_gap=-np.inf), dict(max_iter=0), dict(max_iter=2.5),
+        # a bool passes for the number 1
+        dict(max_iter=True), dict(tol_gap=True), dict(tol_dual=np.True_),
     ):
         with pytest.raises(ValueError):
             SolverOptions(**bad)
@@ -722,9 +724,9 @@ MIXED_KINDS = [
     )
     for k in range(30)
 ]
-# Close to 290 dense rows of a 100 x 100 block: more than the 209 that one
-# 2**21-element chunk of 10**4-element matrices holds, so the dense-by-dense
-# products span chunks.
+# Close to 290 dense rows of a 100 x 100 block: more than a tile of _CHUNK
+# elements holds (26 of these 10**4-element matrices at 2**18), so the
+# dense-by-dense products span tiles.
 CHUNKED_KINDS = [
     (None, None) if k % 50 == 49 else (
         "off" if k % 12 == 0 else "dense", "diag" if k % 7 == 0 else None,
@@ -733,15 +735,23 @@ CHUNKED_KINDS = [
 ]
 
 
-@pytest.mark.parametrize("sizes, kinds", [
-    ((4, 5, 6), MIXED_KINDS),
-    ((100, 3), CHUNKED_KINDS),
-])
-def test_schur_matrix_matches_the_trace_formula(sizes, kinds):
+@pytest.mark.parametrize("sizes, kinds, cap", [
+    ((4, 5, 6), MIXED_KINDS, None),
+    ((100, 3), CHUNKED_KINDS, None),
+    ((4, 5, 6), MIXED_KINDS, 100),
+], ids=["sizes0-kinds0", "sizes1-kinds1", "small-tiles"])
+def test_schur_matrix_matches_the_trace_formula(sizes, kinds, cap, monkeypatch):
     rng = np.random.default_rng(26)
     prog = rows_of_kinds(rng, sizes, kinds, n_free=3)
     reduced, _, report, _ = _presolve(prog)
     ws = _Workspace(prog.psd_blocks, *reduced)
+    if cap:
+        # tiles of cap // max(n^2, m_b) rows: each block's sparse rows span
+        # at least three
+        monkeypatch.setattr(solver, "_CHUNK", cap)
+        for (_, dense, sparse, *_), n in zip(ws.blocks, sizes):
+            tile = cap // max(n * n, dense.size + sparse.size)
+            assert sparse.size == 0 or sparse.size > 2 * tile
     Xs, Sinvs = [], []
     for n in sizes:
         g, h = rng.standard_normal((2, n, n))
@@ -758,6 +768,34 @@ def test_schur_matrix_matches_the_trace_formula(sizes, kinds):
     assert any(not prog.rows[k].entries for k in kept_rows(prog, report))
     stored = sum(np.diff(Ab.indptr) for Ab, *_ in ws.blocks)
     assert stored.all() and np.diag(M).all()
+
+
+def test_schur_peaks_a_few_tiles_above_its_matrix(monkeypatch):
+    # 75 dense and 138 sparse rows of a 24 x 24 block.  A tile holds W, the
+    # rows it meets (densified, or a sparse tile's gathered entries), the
+    # C-ordered copy of W' that the sparse x dense product takes, the product
+    # and the gather of M's entries it is added to: five temporaries of at
+    # most _CHUNK elements, where one tile of all the rows peaks at 26 caps.
+    n, m = 24, 300
+    kinds = [(("dense", "diag", "off", "pair")[k % 4],) for k in range(m)]
+    prog = rows_of_kinds(np.random.default_rng(36), (n,), kinds, n_free=1)
+    ws = _Workspace(prog.psd_blocks, *_presolve(prog)[0])
+    rng = np.random.default_rng(37)
+    g, h = rng.standard_normal((2, n, n))
+    Xs, Sinvs = [g @ g.T + n * np.eye(n)], [np.linalg.inv(h @ h.T + n * np.eye(n))]
+    cap = 16 * n * n
+    monkeypatch.setattr(solver, "_CHUNK", cap)
+    # each kind of row spans at least three tiles of 16 rows
+    _, dense, sparse, *_ = ws.blocks[0]
+    assert min(dense.size, sparse.size) > 2 * cap // (n * n)
+    tracemalloc.start()
+    try:
+        base = tracemalloc.get_traced_memory()[0]
+        M = ws.schur(Xs, Sinvs)
+        peak = tracemalloc.get_traced_memory()[1] - base
+    finally:
+        tracemalloc.stop()
+    assert peak - M.nbytes < 6 * cap * 8
 
 
 def test_block_slices_act_as_the_stacked_operator():
