@@ -30,12 +30,14 @@ needed and both forms share one optimum; ``recover_complex_solution`` and
 Both forms, for the reformulations and the relaxation alike, rest on one
 rule, the table _QUADRANTS: the Re or Im functional of a complex data
 matrix A = A_R + i*A_I is the functional sum G[i,j] X[i,j] over the 2n x 2n
-block, and each quadrant of G is +-A_R, +-A_I or empty.  ``embed_entries``
-expands data entries through that table, folds every term onto the
-canonical upper triangle (the diagonal keeps its coefficient, an
-off-diagonal term gets 0.5) and sums duplicates in one sparse pass.  Each
-canonical key receives at most two terms, from the entry at (p, q) and
-its partner at (q, p), so the order of summation cannot change a bit.
+block, and each quadrant of G is +-A_R, +-A_I or empty.  The table also
+holds the naive form's two structural functionals, applied to a unit
+entry at each pair i <= j.  ``embed_entries`` expands data entries
+through that table, folds every term onto the canonical upper triangle
+(the diagonal keeps its coefficient, an off-diagonal term gets 0.5) and
+sums duplicates in one sparse pass.  Each canonical key receives at most
+two terms, from the entry at (p, q) and its partner at (q, p), so the
+order of summation cannot change a bit.
 """
 
 from __future__ import annotations
@@ -229,19 +231,13 @@ def structural_constraints(n: int):
 
 def _structural_rows(n: int, blk: int = 0):
     """structural_constraints(n) over block ``blk``: (counts, blk, i, j, coef),
-    row r taking the next counts[r] entries.  Pair (i, j) has c = 1 on the
-    diagonal, where the second row keeps only (i, n+i, 1), and 0.5 off it."""
-    iu, ju = np.triu_indices(n)
-    c = np.where(iu == ju, 1.0, 0.5)
-    i, j, coef = (np.stack(x, axis=1) for x in (
-        (iu, n + iu, iu, ju), (ju, n + ju, n + ju, n + iu), (c, -c, c, c)
-    ))
-    used = np.ones(i.shape, dtype=bool)
-    used[:, 3] = iu != ju
-    return (
-        used.reshape(-1, 2).sum(axis=1), np.full(int(used.sum()), blk),
-        i[used], j[used], coef[used],
-    )
+    row r taking the next counts[r] entries.  A unit entry at each pair
+    i <= j gives its two rows, the table's "sym" and then its "skew"."""
+    p, q = np.triu_indices(n)
+    at = 2 * np.arange(p.size)
+    g = embed_entries("structural", {"sym": at, "skew": at + 1}, 2 * p.size,
+                      2 * n, p, q, 1.0, 0.0, n, blk)
+    return key_entries(g, 2 * n)
 
 
 def key_entries(g, size: int, *more):
@@ -256,11 +252,15 @@ def key_entries(g, size: int, *more):
 # Quadrants (top-left, top-right, bottom-left, bottom-right) of the 2n x 2n
 # coefficient matrix G of Re<A, .> or Im<A, .> in each form: "R" is A_R,
 # "I" is A_I, "" is empty.  The naive functionals read Y_11 and Y_21 only.
+# The naive form's structural functionals of a unit entry at (i, j) read
+# Y_11 - Y_22 there ("sym") and Y_12 at (i, j) plus (j, i) ("skew").
 _QUADRANTS = {
     ("dualview", "re"): ("R", "-I", "I", "R"),
     ("dualview", "im"): ("I", "R", "-R", "I"),
     ("naive", "re"): ("R", "", "-I", ""),
     ("naive", "im"): ("I", "", "R", ""),
+    ("structural", "sym"): ("R", "", "", "-R"),
+    ("structural", "skew"): ("", "R", "R", ""),
 }
 
 
@@ -269,8 +269,9 @@ def embed_entries(form, rows, n_rows, size, p, q, re, im, n, blk=0):
 
     Entry e is c = re[e] + i*im[e] at position (p[e], q[e]) of an n x n
     complex matrix acting on the 2n x 2n PSD block ``blk`` (``n`` and
-    ``blk`` are scalars or per-entry arrays).  For each part, "re" or "im",
-    in ``rows``, the entry adds that part of <A, .> to functional
+    ``blk`` are scalars or per-entry arrays).  For each part in ``rows``,
+    any key of _QUADRANTS under ``form``, the entry adds that part's
+    functional (for "re" or "im", that part of <A, .>) to functional
     ``rows[part][e]``, or to none when the index is negative.  The result
     has one row per functional and one column per key (blk, i, j),
     i <= j < size, at (blk * size + i) * size + j; ``size`` is at least

@@ -32,8 +32,10 @@ The dual multipliers of the coefficient rows are exactly the moment
 sequence of the relaxation.  One sparse matrix T, canonical keys by rows,
 says how: the canonical moments are T times the row multipliers, which is
 all ``extract_moments`` computes, and the keys of one class read the same
-row.  ``RelaxationArtifact.row_index`` stores T and derives each
-(key, part) -> row lookup from it.
+row.  The rhs is read through T too: the real part of T^T times the
+objective's coefficients, doubled where T holds 0.5 and -0.5i.
+``RelaxationArtifact.row_index`` stores T and derives each (key, part) ->
+row lookup from it.
 """
 
 from __future__ import annotations
@@ -345,18 +347,13 @@ def assemble_hsos(p: CPOP, d: int, form: str) -> RelaxationArtifact:
          np.r_[re_fun, im_fun[has_im]] - 1),
     ), shape=(len(cls), n_fun - 1))
 
-    # the rhs: the objective's coefficients on canonical keys (f is
-    # Hermitian, so the mirrored half is redundant), each class summing its
-    # keys' in key order
+    # the rhs through T, each class summing its keys' in key order; f is
+    # Hermitian, so its coefficients on canonical keys suffice
     index = data.bases[0].index
     i, j = np.array([[index[b], index[g]] for b, g in p.f.terms]).T
-    c = np.array(list(p.f.terms.values()))[i <= j]
-    key = _upper(i, j, len(index))[i <= j]
-    order = np.argsort(key)
-    c, key = c[order], key[order]
-    h = has_im[key]
-    rhs = np.bincount(np.r_[re_fun[key], im_fun[key][h]] - 1,
-                      np.r_[c.real, c.imag[h]], minlength=n_fun - 1)
+    f = np.zeros(len(cls), dtype=complex)
+    f[_upper(i, j, len(index))[i <= j]] = np.array(list(p.f.terms.values()))[i <= j]
+    rhs = (T.T @ (np.where(has_im, 2.0, 1.0) * f)).real
 
     program = RealConicProgram.from_arrays(
         tuple(2 * w for w in psd_dims), free.shape[1], entries, rhs,

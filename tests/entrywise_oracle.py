@@ -80,6 +80,24 @@ def add_naive_imag(acc, blk, n, p, q, cre, cim) -> None:
     _add(acc, blk, p, q, cim)
 
 
+def structural_rows(n):
+    """The naive form's n(n+1) structural rows over a 2n x 2n Y, written out
+    pair by pair: for each i <= j, Y[i,j] = Y[n+i,n+j] and then
+    Y[i,n+j] + Y[j,n+i] = 0, as (i, j, c) canonical entries with c = 1 on
+    the diagonal and 0.5 off it, in the order ``structural_constraints``
+    gives."""
+    rows = []
+    for i in range(n):
+        for j in range(i, n):
+            c = 1.0 if i == j else 0.5
+            rows.append(((i, j, c), (n + i, n + j, -c)))
+            if i == j:
+                rows.append(((i, n + i, 1.0),))
+            else:
+                rows.append(((i, n + j, c), (j, n + i, c)))
+    return rows
+
+
 ADDERS = {
     "dualview": {"re": add_dualview_real, "im": add_dualview_imag},
     "naive": {"re": add_naive_real, "im": add_naive_imag},

@@ -154,6 +154,21 @@ def test_relax_sidecar_matches_the_golden_bytes(tmp_path, capsys, family, s, d, 
     assert got == (GOLDEN / f"{family}-{s}-{d}-{form}.rows.json").read_bytes()
 
 
+@pytest.mark.parametrize("form", ["dualview", "naive"])
+@pytest.mark.parametrize("family", ["unitnorm", "sphere"])
+def test_relax_export_matches_the_golden_bytes(tmp_path, capsys, family, form):
+    # tests/data/<family>-2-2-<form>.dat-s: seed 0, written by `realify
+    # relax` when the structural rows were placed index by index and the
+    # rhs summed by a bincount
+    prob, sdpa = tmp_path / "p.json", tmp_path / "p.dat-s"
+    assert main(["generate", "--family", family, "--s", "2", "--seed", "0",
+                 "--out", str(prob)]) == 0
+    code, _, _ = run(capsys, "relax", "--in", str(prob), "--d", "2",
+                     "--form", form, "--out", str(sdpa))
+    assert code == 0
+    assert sdpa.read_bytes() == (GOLDEN / f"{family}-2-2-{form}.dat-s").read_bytes()
+
+
 def test_relax_below_minimum_order_cites_it(tmp_path, capsys, sphere_file):
     code, _, stderr = run(
         capsys, "relax", "--in", str(sphere_file), "--d", "1", "--form",

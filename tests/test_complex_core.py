@@ -28,6 +28,7 @@ from realify import (
     structural_constraints,
     solve,
 )
+from realify.complex_sdp import _structural_rows
 
 from entrywise_oracle import (
     accumulate_entries,
@@ -37,6 +38,7 @@ from entrywise_oracle import (
     add_naive_imag,
     add_naive_real,
     float_bits,
+    structural_rows,
 )
 
 LOOSE = SolverOptions(tol_gap=1e-7, tol_primal=1e-7, tol_dual=1e-7)
@@ -137,6 +139,18 @@ def test_structural_constraint_count_and_exact_residual():
         y = realify_psd(rand_hermitian(rng, n))
         for row in rows:
             assert row_value(row, y) == 0.0
+
+
+@pytest.mark.parametrize("blk", [0, 2])
+def test_structural_rows_match_the_pairwise_reference(blk):
+    for n in range(1, 9):
+        want = structural_rows(n)
+        assert structural_constraints(n) == [tuple(r) for r in want]
+        flat = [e for r in want for e in r]
+        counts, b, i, j, c = _structural_rows(n, blk)
+        assert counts.tolist() == [len(r) for r in want]
+        assert b.tolist() == [blk] * len(flat)
+        assert list(zip(i.tolist(), j.tolist(), c.tolist())) == flat
 
 
 def test_structural_constraints_reject_pattern_violations():
@@ -406,7 +420,7 @@ def oracle_sdps():
 def test_reformulations_match_the_entrywise_oracle(sdp):
     structural = tuple(
         Row(entries=accumulate_entries((0, i, j, c) for i, j, c in coeffs))
-        for coeffs in structural_constraints(sdp.n)
+        for coeffs in structural_rows(sdp.n)
     )
     pairs = [
         (reformulate_primal_dualview(sdp),

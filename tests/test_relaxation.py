@@ -5,7 +5,6 @@ import math
 import numpy as np
 import pytest
 
-from realify.complex_sdp import structural_constraints
 from realify.program import LinearFunctional, RealConicProgram, Row
 from realify.polynomials import (
     CPOP,
@@ -33,6 +32,7 @@ from entrywise_oracle import (
     add_naive_imag,
     entries_by_key,
     float_bits,
+    structural_rows,
 )
 
 OPTS = SolverOptions(tol_gap=1e-7, tol_primal=1e-7, tol_dual=1e-7)
@@ -415,7 +415,7 @@ def entrywise_assembly(p, d, form, quotient=True):
     rows += [row(m, "im") for m in classes if m[0][0] != m[0][1]]
     if form == "naive":
         for blk, w in enumerate(psd_dims):
-            for triples in structural_constraints(w):
+            for triples in structural_rows(w):
                 rows.append(Row(
                     entries=accumulate_entries(
                         (blk, i, j, c) for i, j, c in triples

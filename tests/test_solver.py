@@ -613,6 +613,64 @@ def test_breakdown_reports_the_steps_taken(monkeypatch, k):
         assert res.iterations == k
 
 
+def max_x11_program(rows):
+    # maximize X[1,1] over one 2 x 2 block
+    return RealConicProgram(
+        psd_blocks=(2,), n_free=0, rows=rows,
+        objective=LinearFunctional(entries=((0, 1, 1, 1.0),)), sense="maximize",
+    )
+
+
+def test_unbounded_program_ends_by_the_primal_divergence_exit():
+    # X[0,0] = 1 leaves X[1,1] free to grow: the primal objective explodes
+    # while the primal rows stay met
+    res = solve(max_x11_program((Row(entries=((0, 0, 0, 1.0),), rhs=1.0),)))
+    assert (res.status, res.iterations) == ("infeasible", 5)
+    assert res.objective > 1e13 and res.residuals["primal_inf"] < 1e-6
+
+
+def test_infeasible_program_ends_by_the_dual_divergence_exit():
+    # a PSD X has no negative trace: the dual objective explodes while the
+    # dual residual stays met
+    res = solve(max_x11_program((
+        Row(entries=((0, 0, 0, 1.0), (0, 1, 1, 1.0)), rhs=-5.0),
+        Row(entries=((0, 0, 1, 0.5),), rhs=1.0),
+    )))
+    assert (res.status, res.iterations) == ("infeasible", 5)
+    assert res.residuals["dual_inf"] < 1e-6
+
+
+def unit_diagonal_program():
+    # maximize X[0,1] s.t. X[0,0] = X[1,1] = 1  ->  1
+    return RealConicProgram(
+        psd_blocks=(2,), n_free=0,
+        rows=(Row(entries=((0, 0, 0, 1.0),), rhs=1.0),
+              Row(entries=((0, 1, 1, 1.0),), rhs=1.0)),
+        objective=LinearFunctional(entries=((0, 0, 1, 1.0),)), sense="maximize",
+    )
+
+
+def test_three_vanishing_steps_end_by_the_stall_exit(monkeypatch):
+    assert solve(unit_diagonal_program()).status == "optimal"
+    monkeypatch.setattr(solver, "_max_step", lambda L, D: 1e-9)
+    res = solve(unit_diagonal_program())
+    assert (res.status, res.iterations) == ("numerical", 2)
+
+
+def test_a_non_finite_residual_ends_by_the_non_finite_exit(monkeypatch):
+    # each iteration applies the rows to X once for its residual and once
+    # per direction, so the 4th call is the second iteration's residual
+    apply, calls = _Workspace.apply, []
+
+    def nan_residual(ws, Xs):
+        calls.append(None)
+        return np.full(ws.m, np.nan) if len(calls) == 4 else apply(ws, Xs)
+
+    monkeypatch.setattr(_Workspace, "apply", nan_residual)
+    res = solve(unit_diagonal_program())
+    assert (res.status, res.iterations, len(calls)) == ("numerical", 1, 4)
+
+
 def test_solver_options_validate():
     for bad in (
         dict(tol_gap=0.0), dict(tol_primal=np.inf), dict(tol_dual=np.nan),
