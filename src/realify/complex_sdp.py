@@ -229,15 +229,17 @@ def structural_constraints(n: int):
     return [tuple(flat[s:e]) for s, e in zip(at, at[1:])]
 
 
-def _structural_rows(n: int, blk: int = 0):
-    """structural_constraints(n) over block ``blk``: (counts, blk, i, j, coef),
-    row r taking the next counts[r] entries.  A unit entry at each pair
-    i <= j gives its two rows, the table's "sym" and then its "skew"."""
-    p, q = np.triu_indices(n)
-    at = 2 * np.arange(p.size)
-    g = embed_entries("structural", {"sym": at, "skew": at + 1}, 2 * p.size,
-                      2 * n, p, q, 1.0, 0.0, n, blk)
-    return key_entries(g, 2 * n)
+def _structural_rows(n, blk=0):
+    """structural_constraints(w) for each w in n, over blocks blk, blk + 1, ...
+    in turn: (counts, blk, i, j, coef), row r taking the next counts[r] entries.
+    A unit entry at each pair i <= j gives its two rows, "sym" then "skew"."""
+    n, size = np.atleast_1d(n), 2 * int(np.max(n))
+    p, q = np.triu_indices(size // 2)
+    b, e = np.nonzero(q < n[:, None])
+    at = 2 * np.arange(e.size)
+    g = embed_entries("structural", {"sym": at, "skew": at + 1}, 2 * e.size,
+                      size, p[e], q[e], 1.0, 0.0, n[b], blk + b)
+    return key_entries(g, size)
 
 
 def key_entries(g, size: int, *more):

@@ -110,12 +110,14 @@ class CPolynomial:
         if self.s < 1:
             raise ValueError("variable count must be at least 1")
         fixed: dict[TermKey, complex] = {}
+        # one check per exponent object: (True,) == (1,) is another object
+        checked: dict[Exponent, Exponent] = {}
         for key, c in self.terms.items():
             if not isinstance(key, tuple) or len(key) != 2:
                 raise ValueError(f"term key {key!r} is not a (beta, gamma) pair")
-            beta, gamma = key
-            _check_exponent(beta, self.s)
-            _check_exponent(gamma, self.s)
+            for e in key:
+                if checked.get(e) is not e:
+                    checked[e] = _check_exponent(e, self.s)
             c = complex(c)
             if not (math.isfinite(c.real) and math.isfinite(c.imag)):
                 raise ValueError(f"non-finite coefficient at {key!r}")

@@ -1,12 +1,13 @@
 """Problem interchange files.
 
 A problem is stored as human-diffable JSON: variable count, objective
-terms, and constraints, with each term a record
+terms, and constraints, each term a record on a line of its own,
 ``{"beta": [...], "gamma": [...], "re": x, "im": y}``.  Coefficients are
 plain JSON numbers written in shortest exact decimal form, so a load of a
-saved file reproduces every double bit for bit.  Files may store only the
-``beta <= gamma`` half of a term map; the loader completes the conjugate
-half and warns.
+saved file reproduces every double bit for bit.  Any layout of the same
+JSON loads, such as the ``indent=1`` one of older files.  Files may store
+only the ``beta <= gamma`` half of a term map; the loader completes the
+conjugate half and warns.
 """
 
 import json
@@ -50,7 +51,7 @@ def problem_to_dict(p: CPOP) -> dict:
     }
 
 
-def _records_to_terms(records, s: int, where: str) -> dict:
+def _records_to_terms(records, where: str) -> dict:
     if not isinstance(records, list):
         raise ValueError(f"{where}: terms must be a list")
     terms: dict = {}
@@ -99,7 +100,7 @@ def problem_from_dict(data: dict) -> CPOP:
     s = data.get("s")
     if not isinstance(s, int) or isinstance(s, bool) or s < 1:
         raise ValueError("field s must be a positive integer")
-    f = CPolynomial(s, _records_to_terms(data.get("objective"), s, "objective"))
+    f = CPolynomial(s, _records_to_terms(data.get("objective"), "objective"))
     constraints = []
     raw = data.get("constraints")
     if not isinstance(raw, list):
@@ -108,16 +109,17 @@ def problem_from_dict(data: dict) -> CPOP:
         where = f"constraint {k}"
         if not isinstance(con, dict) or set(con) != {"kind", "terms"}:
             raise ValueError(f"{where}: needs exactly kind and terms")
-        g = CPolynomial(s, _records_to_terms(con["terms"], s, where))
+        g = CPolynomial(s, _records_to_terms(con["terms"], where))
         constraints.append((g, con["kind"]))
     return CPOP(s=s, f=f, constraints=tuple(constraints))
 
 
 def save_problem(p: CPOP, path) -> None:
-    text = json.dumps(problem_to_dict(p), indent=1)
+    # json's C encoder runs only without indent.  The only strings are keys,
+    # "cpop" and the kinds, so each "{" opens an object: it starts a line
+    text = json.dumps(problem_to_dict(p)).replace("{", "\n{").replace(" \n", "\n")
     with open(path, "w") as fh:
-        fh.write(text)
-        fh.write("\n")
+        fh.write(text[1:] + "\n")  # the root object's "{" starts the file
 
 
 def load_problem(path) -> CPOP:

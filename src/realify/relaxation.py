@@ -313,9 +313,7 @@ def assemble_hsos(p: CPOP, d: int, form: str) -> RelaxationArtifact:
         form, {"re": re_row[psd], "im": im_row[psd]}, n_data + 1, size,
         pb[psd], qb[psd], c.real[psd], c.imag[psd], dims[blk[psd]],
         psd_of[blk[psd]],
-    ), size, *(
-        _structural_rows(w, k) for k, w in enumerate(psd_dims) if form == "naive"
-    ))
+    ), size, *([_structural_rows(psd_dims)] if form == "naive" else []))
     n_fun = len(entries[0])
 
     # the equality entries, through Re(cH) = Re(c) P - Im(c) Q and

@@ -56,6 +56,18 @@ def test_generate_is_byte_deterministic(tmp_path, capsys):
     assert a.read_bytes() == b.read_bytes()
 
 
+def test_generate_matches_the_golden_problem_file(tmp_path, capsys):
+    # tests/data/unitnorm-2-0.json: written by `realify generate` when each
+    # term record first went on a line of its own
+    out = tmp_path / "p.json"
+    code, _, _ = run(
+        capsys, "generate", "--family", "unitnorm", "--s", "2", "--seed",
+        "0", "--out", str(out),
+    )
+    assert code == 0
+    assert out.read_bytes() == (GOLDEN / "unitnorm-2-0.json").read_bytes()
+
+
 def test_unsupported_family_is_an_input_error(tmp_path, capsys):
     code, _, stderr = run(
         capsys, "generate", "--family", "matpower", "--s", "3", "--seed", "0",

@@ -90,6 +90,18 @@ def test_term_map_validation():
         CPolynomial(2, {((1,), (0, 1)): 1.0})
 
 
+@pytest.mark.parametrize("bad", [True, 1.0, np.int64(1)])
+def test_equal_exponent_of_another_type_is_rejected_after_an_int_one(bad):
+    # (bad,) == (1,) and hashes alike, but it is another object, so a
+    # check that (1,) passed in an earlier key does not let it through
+    assert (bad,) == (1,)
+    for s, one in ((1, (1,)), (2, (1, 0))):
+        zero, odd = (0,) * s, (bad,) + (0,) * (s - 1)
+        terms = {(one, one): 1.0 + 0j, (zero, odd): 0.5j, (odd, zero): -0.5j}
+        with pytest.raises(ValueError, match="non-natural entry"):
+            CPolynomial(s, terms)
+
+
 def test_eval_analytic_values():
     mod2 = CPolynomial(1, {((1,), (1,)): 1.0})
     assert mod2.eval([2.0 + 0j]) == pytest.approx(4.0)

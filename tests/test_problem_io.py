@@ -4,7 +4,12 @@ import json
 
 import pytest
 
-from realify.polynomials import gen_sphere_instance, gen_unitnorm_instance
+from realify.polynomials import (
+    CPOP,
+    CPolynomial,
+    gen_sphere_instance,
+    gen_unitnorm_instance,
+)
 from realify.problem_io import (
     load_problem,
     problem_from_dict,
@@ -13,17 +18,77 @@ from realify.problem_io import (
 )
 
 
+def bits(p: CPOP):
+    """s, then each polynomial's kind and its terms with the exact bits of
+    both parts (float.hex tells -0.0 from 0.0), in key order."""
+    return p.s, [
+        (kind, sorted((k, c.real.hex(), c.imag.hex()) for k, c in g.terms.items()))
+        for g, kind in ((p.f, "objective"), *p.constraints)
+    ]
+
+
 def test_round_trip_is_exact(tmp_path):
     for p in (gen_sphere_instance(3, seed=5), gen_unitnorm_instance(2, seed=1)):
         path = tmp_path / "p.json"
         save_problem(p, path)
         q = load_problem(path)
-        assert q.s == p.s
         assert q.f.terms == p.f.terms
-        assert len(q.constraints) == len(p.constraints)
-        for (g1, k1), (g2, k2) in zip(q.constraints, p.constraints):
-            assert k1 == k2
-            assert g1.terms == g2.terms
+        assert bits(q) == bits(p)
+
+
+def test_round_trip_keeps_every_bit_of_awkward_doubles(tmp_path):
+    # the smallest subnormal, the largest double, a -0.0 part, thirds
+    f = CPolynomial(1, {
+        ((1,), (1,)): complex(5e-324, -0.0),
+        ((0,), (0,)): complex(-1.7976931348623157e308, 0.0),
+        ((0,), (1,)): complex(1 / 3, 2.2250738585072014e-308),
+        ((1,), (0,)): complex(1 / 3, -2.2250738585072014e-308),
+    })
+    g = CPolynomial(1, {((1,), (1,)): complex(-1.0, -0.0), ((0,), (0,)): 0.1})
+    p = CPOP(s=1, f=f, constraints=((g, "ge"),))
+    path = tmp_path / "p.json"
+    save_problem(p, path)
+    assert bits(load_problem(path)) == bits(p)
+
+
+def test_old_indented_layout_still_loads(tmp_path):
+    # the layout of json.dumps(..., indent=1), which files were saved in
+    # before each term record went on a line of its own
+    for p in (gen_sphere_instance(3, seed=5), gen_unitnorm_instance(2, seed=1)):
+        path = tmp_path / "old.json"
+        path.write_text(json.dumps(problem_to_dict(p), indent=1) + "\n")
+        assert bits(load_problem(path)) == bits(p)
+
+
+def test_saved_file_is_the_dict_with_one_record_per_line(tmp_path):
+    p = gen_unitnorm_instance(3, seed=2)
+    path = tmp_path / "p.json"
+    save_problem(p, path)
+    text = path.read_text()
+    data = problem_to_dict(p)
+    assert json.loads(text) == data
+    lines = text.splitlines()
+    assert text.endswith("}\n") and all(line == line.rstrip() for line in lines)
+    records = [line for line in lines if '"beta"' in line]
+    assert len(records) == len(data["objective"]) + sum(
+        len(con["terms"]) for con in data["constraints"]
+    )
+    for line in records:
+        assert line.startswith('{"beta"') and line.count('"beta"') == 1
+        assert json.loads(line[: line.index("}") + 1])["beta"]
+
+
+@pytest.mark.parametrize("bad", ["true", "1.0"])
+def test_exponent_of_true_or_float_is_rejected_after_an_int_one(bad):
+    # [true] and [1.0] load as (True,) and (1.0,), equal to the int (1,)
+    text = (
+        '{"format": "cpop", "version": 1, "s": 1, "constraints": [], "objective": ['
+        '{"beta": [1], "gamma": [1], "re": 1.0, "im": 0.0}, '
+        f'{{"beta": [0], "gamma": [{bad}], "re": 0.0, "im": 0.5}}, '
+        f'{{"beta": [{bad}], "gamma": [0], "re": 0.0, "im": -0.5}}]}}'
+    )
+    with pytest.raises(ValueError, match="non-natural entry"):
+        problem_from_dict(json.loads(text))
 
 
 def test_save_is_deterministic(tmp_path):
