@@ -16,12 +16,11 @@ each block's sparse slice over vec(X_b), which the operator, its adjoint and
 the Schur assembly all read.  Only M's upper triangle is assembled and read,
 by a Cholesky of a copy, or where M is singular to working precision (the
 naive form's degenerate optimal face) by a pivoted Cholesky cut at the rank
-it reveals, the solve putting zero on the rows it drops; each solve is
-refined twice against M, for the accuracy lost to M's conditioning.  Each
-iterate is factored once: one Cholesky of each X_b and S_b serves S_b^-1 and
-both step lengths; one breakdown exit catches every linear-algebra failure.
-Everything is deterministic: identical inputs and options reproduce
-identical iterates on a given platform.
+it reveals, the solve putting zero on the rows it drops; M is freed once it
+is factored.  Each iterate is factored once: one Cholesky of each X_b and
+S_b serves S_b^-1 and both step lengths; one breakdown exit catches every
+linear-algebra failure.  Everything is deterministic: identical inputs and
+options reproduce identical iterates on a given platform.
 
 Designed for desk-scale problems (blocks up to a few hundred, rows in the low
 tens of thousands).  The Schur matrix is held dense but assembled by row
@@ -580,16 +579,6 @@ def _solve_direct(prog: RealConicProgram, opts: SolverOptions) -> SolveResult:
         mu = sum(float(np.tensordot(Xs[b], Ss[b])) for b in range(len(ws.sizes)))
         mu /= ws.N
 
-        def solve_schur(h):
-            # on the factor's kept rows, zero on the rest, and refined twice
-            # against M itself for the accuracy lost to M's conditioning
-            dy = np.zeros(ws.m)
-            dy[kept] = sla.cho_solve((Mf, True), h[kept], check_finite=False)
-            for _ in range(2):
-                r = h - sla.blas.dsymv(1.0, M.T, dy, lower=1)
-                dy[kept] += sla.cho_solve((Mf, True), r[kept], check_finite=False)
-            return dy
-
         def direction(sigma_mu, extras):
             # dX = V + sym(X A*(dy) S^-1), with V collecting every dX term
             # not involving dy, so the Schur rhs is h = rp - A(V).
@@ -598,7 +587,9 @@ def _solve_direct(prog: RealConicProgram, opts: SolverOptions) -> SolveResult:
                 - _sym((Xs[b] @ Rd[b] + extras[b]) @ Sinvs[b])
                 for b in range(len(ws.sizes))
             ]
-            dy = solve_schur(rp - ws.apply(V))
+            # the Schur solve on the factor's kept rows, zero on the rest
+            h, dy = rp - ws.apply(V), np.zeros(ws.m)
+            dy[kept] = sla.cho_solve((Mf, True), h[kept], check_finite=False)
             ATdy = ws.apply_adjoint(dy)
             dS = [Rd[b] - ATdy[b] for b in range(len(ws.sizes))]
             dX = [
@@ -619,8 +610,7 @@ def _solve_direct(prog: RealConicProgram, opts: SolverOptions) -> SolveResult:
             LX = [np.linalg.cholesky(X) for X in Xs]
             LS = [np.linalg.cholesky(S) for S in Ss]
             Sinvs = [_sym(sla.cho_solve((L, True), np.eye(len(L)))) for L in LS]
-            M = ws.schur(Xs, Sinvs)
-            Mf, kept = _factor_spd(M)
+            Mf, kept = _factor_spd(ws.schur(Xs, Sinvs))
             dX_a, dS_a, _ = direction(0.0, zero_blocks)
             ap, ad = max_steps(dX_a, dS_a)
             ap, ad = min(1.0, ap), min(1.0, ad)

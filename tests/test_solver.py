@@ -8,6 +8,7 @@ stepping, never against the solver's own first answer.
 import sys
 import threading
 import tracemalloc
+import weakref
 from collections import defaultdict
 
 import numpy as np
@@ -289,6 +290,67 @@ def test_each_iterate_is_factored_once(monkeypatch):
     # the sizes factored before each Schur factorization, and none after the
     # last, since the converged iterate takes no step
     assert [sorted(f) for f in factored] == [[3, 3, 4, 4]] * res.iterations + [[]]
+
+
+def knife_edge_program():
+    """Planted complex SDP (5,8) at seed 2 in the naive form: near its
+    optimum the Schur matrix turns singular, so it takes the pivoted
+    fallback."""
+    return reformulate_primal_naive(planted_sdp(np.random.default_rng(2), 5, 8)[0])
+
+
+def test_the_schur_matrix_does_not_outlive_its_factorization(monkeypatch):
+    # M is read only by its factorization: by the time a direction maps dy
+    # back through A*, and at the next iteration's top, only its factor lives
+    schur, apply_adjoint, refs, dead = _Workspace.schur, _Workspace.apply_adjoint, [], []
+
+    def kept_ref(self, Xs, Sinvs):
+        M = schur(self, Xs, Sinvs)
+        refs.append(weakref.ref(M))
+        return M
+
+    def checked(self, y):
+        if refs:
+            dead.append(all(r() is None for r in refs))
+        return apply_adjoint(self, y)
+
+    monkeypatch.setattr(_Workspace, "schur", kept_ref)
+    monkeypatch.setattr(_Workspace, "apply_adjoint", checked)
+    for prog in small_programs() + [knife_edge_program()]:
+        assert solve(prog, LOOSE).status == "optimal"
+    # checked three times per M: in both direction solves and at the next top
+    assert len(dead) > 3 * len(refs) > 100 and all(dead)
+
+
+def test_the_unrefined_schur_solve_meets_its_right_hand_side(monkeypatch):
+    # one Cholesky solve per direction, with no refinement against M: on the
+    # factor's kept rows M dy meets h to 1e-9 of h there, on the plain path
+    # and on the pivoted fallback alike (h[kept] in place of the whole h
+    # only makes the bound stricter)
+    factor_spd, cho_solve = solver._factor_spd, sla.cho_solve
+    factored, residuals = [], []  # (L, kept, M[kept][:, kept]) per factorization
+
+    def spy_factor(M):
+        L, kept = factor_spd(M)
+        U = np.triu(M)
+        factored.append((L, kept, (U + np.triu(U, 1).T)[kept][:, kept]))
+        return L, kept
+
+    def spy_solve(c_and_lower, h, *args, **kwargs):
+        dy = cho_solve(c_and_lower, h, *args, **kwargs)
+        if factored and c_and_lower[0] is factored[-1][0]:
+            residuals.append(np.linalg.norm(h - factored[-1][2] @ dy) / np.linalg.norm(h))
+        return dy
+
+    monkeypatch.setattr(solver, "_factor_spd", spy_factor)
+    monkeypatch.setattr(solver.sla, "cho_solve", spy_solve)
+    for prog in small_programs():
+        assert solve(prog, LOOSE).status == "optimal"
+    assert solve(knife_edge_program()).status == "optimal"
+    fallbacks = [kept for _, kept, _ in factored if not isinstance(kept, slice)]
+    # two solves, the predictor's and the corrector's, per factorization
+    assert fallbacks and len(residuals) == 2 * len(factored) > 50
+    assert max(residuals) <= 1e-9
 
 
 def blas_threads():
