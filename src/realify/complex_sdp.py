@@ -229,16 +229,16 @@ def structural_constraints(n: int):
     return [tuple(flat[s:e]) for s, e in zip(at, at[1:])]
 
 
-def _structural_rows(n, blk=0):
-    """structural_constraints(w) for each w in n, over blocks blk, blk + 1, ...
-    in turn: (counts, blk, i, j, coef), row r taking the next counts[r] entries.
+def _structural_rows(n):
+    """structural_constraints(w) for each w in n, over blocks 0, 1, ... in
+    turn: (counts, blk, i, j, coef), row r taking the next counts[r] entries.
     A unit entry at each pair i <= j gives its two rows, "sym" then "skew"."""
     n, size = np.atleast_1d(n), 2 * int(np.max(n))
     p, q = np.triu_indices(size // 2)
     b, e = np.nonzero(q < n[:, None])
     at = 2 * np.arange(e.size)
     g = embed_entries("structural", {"sym": at, "skew": at + 1}, 2 * e.size,
-                      size, p[e], q[e], 1.0, 0.0, n[b], blk + b)
+                      size, p[e], q[e], 1.0, 0.0, n[b], b)
     return key_entries(g, size)
 
 

@@ -13,19 +13,18 @@ conjugate half and warns.
 import json
 import warnings
 
-from .polynomials import CPOP, CPolynomial, Exponent
+from .polynomials import CPOP, CPolynomial
 
 FORMAT_NAME = "cpop"
 FORMAT_VERSION = 1
 
 
-def _graded(e: Exponent) -> tuple:
-    return (sum(e), e)
-
-
 def _terms_to_records(terms: dict) -> list[dict]:
+    # terms in graded-lex order of (beta, gamma), by each exponent's rank
+    exps = sorted({e for key in terms for e in key}, key=lambda e: (sum(e), e))
+    rank = {e: r for r, e in enumerate(exps)}
     records = []
-    for beta, gamma in sorted(terms, key=lambda k: (_graded(k[0]), _graded(k[1]))):
+    for beta, gamma in sorted(terms, key=lambda k: (rank[k[0]], rank[k[1]])):
         c = terms[(beta, gamma)]
         records.append(
             {
@@ -54,7 +53,10 @@ def problem_to_dict(p: CPOP) -> dict:
 def _records_to_terms(records, where: str) -> dict:
     if not isinstance(records, list):
         raise ValueError(f"{where}: terms must be a list")
-    terms: dict = {}
+    # records whose exponent entries are the same objects share one tuple, so
+    # CPolynomial checks it once.  The key is the entries' ids, as (True,) ==
+    # (1,); each tuple lives through its lookup, so no id is a freed object's
+    terms, shared = {}, {}
     for t, rec in enumerate(records):
         if not isinstance(rec, dict) or set(rec) != {"beta", "gamma", "re", "im"}:
             raise ValueError(
@@ -62,6 +64,8 @@ def _records_to_terms(records, where: str) -> dict:
             )
         try:
             beta, gamma = tuple(rec["beta"]), tuple(rec["gamma"])
+            beta = shared.setdefault(tuple(map(id, beta)), beta)
+            gamma = shared.setdefault(tuple(map(id, gamma)), gamma)
             for v in (rec["re"], rec["im"]):
                 if isinstance(v, bool) or not isinstance(v, (int, float)):
                     raise TypeError(f"coefficient {v!r} is not a JSON number")

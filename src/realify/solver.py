@@ -10,17 +10,17 @@ using an infeasible-start path-following method: a predictor-corrector
 iteration on the symmetrized complementarity X S = mu I with the dual-scaled
 search direction and a dense Schur complement M for the row multipliers.
 Presolve is its own step ahead of the iteration's workspace: it drops empty
-and dependent rows, then solves each free scalar out of one pivot row, so
-the iteration carries PSD blocks and rows only.  The rows are held once, as
-each block's sparse slice over vec(X_b), which the operator, its adjoint and
-the Schur assembly all read.  Only M's upper triangle is assembled and read,
-by a Cholesky of a copy, or where M is singular to working precision (the
-naive form's degenerate optimal face) by a pivoted Cholesky cut at the rank
-it reveals, the solve putting zero on the rows it drops; M is freed once it
-is factored.  Each iterate is factored once: one Cholesky of each X_b and
-S_b serves S_b^-1 and both step lengths; one breakdown exit catches every
-linear-algebra failure.  Everything is deterministic: identical inputs and
-options reproduce identical iterates on a given platform.
+and dependent rows, then solves each free scalar out of one pivot row, so the
+iteration carries PSD blocks and rows only.  The rows are held once, as each
+block's sparse slice over vec(X_b), which the operator, its adjoint and the
+Schur assembly all read.  Only M's upper triangle is assembled and read, by a
+Cholesky in M's own storage, or where M is singular to working precision (the
+naive form's degenerate optimal face) by a pivoted Cholesky of M assembled
+afresh, cut at its revealed rank, zero going on the rows it drops; a solve
+holds one m x m array at a time.  Each iterate is factored once: one Cholesky
+of each X_b and S_b serves S_b^-1 and both step lengths; one breakdown exit
+catches every linear-algebra failure.  Everything is deterministic: identical
+inputs and options reproduce identical iterates on a given platform.
 
 Designed for desk-scale problems (blocks up to a few hundred, rows in the low
 tens of thousands).  The Schur matrix is held dense but assembled by row
@@ -345,19 +345,20 @@ def _independent(G: np.ndarray) -> np.ndarray:
     return np.sort(piv[:rank] - 1)
 
 
-def _factor_spd(M: np.ndarray):
-    """(L, kept): a Cholesky factor from M's upper triangle, L L' = M[kept][:, kept].
+def _factor_spd(schur):
+    """(L, kept): L L' = M[kept][:, kept] from the upper triangle of M = schur().
 
-    LAPACK's dpotrf factors a copy, read as its F-ordered transpose's lower
-    triangle, and keeps every row.  Where that fails, M singular to working
-    precision, dpstrf's pivoted Cholesky at its default tolerance keeps the
-    pivots up to the rank it reveals (Higham 1990).  With no positive pivot
-    it raises LinAlgError, which the iteration's one breakdown exit catches.
+    LAPACK's dpotrf factors M in place, read as its F-ordered transpose's
+    lower triangle, and keeps every row.  Where that fails, M singular to
+    working precision, dpstrf's pivoted Cholesky factors a fresh M in place
+    and keeps the pivots up to the rank its default tolerance reveals (Higham
+    1990).  No positive pivot raises LinAlgError, for the one breakdown exit.
     """
-    L, info = sla.lapack.dpotrf(M.T, lower=1, clean=0)
+    L, info = sla.lapack.dpotrf(schur().T, lower=1, clean=0, overwrite_a=1)
     if info == 0:
         return L, slice(None)
-    L, piv, rank, _ = sla.lapack.dpstrf(M.T, lower=1)
+    del L
+    L, piv, rank, _ = sla.lapack.dpstrf(schur().T, lower=1, overwrite_a=1)
     if rank == 0:
         raise np.linalg.LinAlgError("no pivot of M is positive")
     return L[:rank, :rank], piv[:rank] - 1
@@ -610,7 +611,8 @@ def _solve_direct(prog: RealConicProgram, opts: SolverOptions) -> SolveResult:
             LX = [np.linalg.cholesky(X) for X in Xs]
             LS = [np.linalg.cholesky(S) for S in Ss]
             Sinvs = [_sym(sla.cho_solve((L, True), np.eye(len(L)))) for L in LS]
-            Mf, kept = _factor_spd(ws.schur(Xs, Sinvs))
+            Mf = None  # the previous factor goes before the next M is assembled
+            Mf, kept = _factor_spd(lambda: ws.schur(Xs, Sinvs))
             dX_a, dS_a, _ = direction(0.0, zero_blocks)
             ap, ad = max_steps(dX_a, dS_a)
             ap, ad = min(1.0, ap), min(1.0, ad)

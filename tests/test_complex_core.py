@@ -141,15 +141,14 @@ def test_structural_constraint_count_and_exact_residual():
             assert row_value(row, y) == 0.0
 
 
-@pytest.mark.parametrize("blk", [0, 2])
-def test_structural_rows_match_the_pairwise_reference(blk):
+def test_structural_rows_match_the_pairwise_reference():
     for n in range(1, 9):
         want = structural_rows(n)
         assert structural_constraints(n) == [tuple(r) for r in want]
         flat = [e for r in want for e in r]
-        counts, b, i, j, c = _structural_rows(n, blk)
+        counts, b, i, j, c = _structural_rows(n)
         assert counts.tolist() == [len(r) for r in want]
-        assert b.tolist() == [blk] * len(flat)
+        assert b.tolist() == [0] * len(flat)
         assert list(zip(i.tolist(), j.tolist(), c.tolist())) == flat
 
 

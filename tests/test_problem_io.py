@@ -91,6 +91,20 @@ def test_exponent_of_true_or_float_is_rejected_after_an_int_one(bad):
         problem_from_dict(json.loads(text))
 
 
+def test_records_with_the_same_int_exponent_share_one_tuple():
+    # so CPolynomial checks each exponent once; the completed conjugate half
+    # reuses the loaded tuples too
+    text = (
+        '{"format": "cpop", "version": 1, "s": 2, "constraints": [], "objective": ['
+        '{"beta": [1, 0], "gamma": [0, 1], "re": 1.0, "im": 0.5}, '
+        '{"beta": [1, 0], "gamma": [1, 0], "re": 2.0, "im": 0.0}]}'
+    )
+    with pytest.warns(UserWarning, match="one triangle only"):
+        terms = problem_from_dict(json.loads(text)).f.terms
+    ones = [e for key in terms for e in key if e == (1, 0)]
+    assert len(ones) == 4 and all(e is ones[0] for e in ones)
+
+
 def test_save_is_deterministic(tmp_path):
     p = gen_sphere_instance(2, seed=7)
     a, b = tmp_path / "a.json", tmp_path / "b.json"

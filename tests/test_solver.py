@@ -191,8 +191,8 @@ def test_solver_is_deterministic_to_the_bit(monkeypatch):
     # through its dual
     factor_spd, fallbacks = solver._factor_spd, []
 
-    def spy(M):
-        L, kept = factor_spd(M)
+    def spy(schur):
+        L, kept = factor_spd(schur)
         fallbacks.append(isinstance(kept, np.ndarray))
         return L, kept
 
@@ -274,10 +274,10 @@ def test_each_iterate_is_factored_once(monkeypatch):
             return factor(P, *args, **kwargs)
         return wrapped
 
-    def schur_factor(M):
+    def schur_factor(schur):
         in_schur[0] = True
         try:
-            return factor_spd(M)
+            return factor_spd(schur)
         finally:
             in_schur[0] = False
             factored.append([])
@@ -299,27 +299,33 @@ def knife_edge_program():
     return reformulate_primal_naive(planted_sdp(np.random.default_rng(2), 5, 8)[0])
 
 
-def test_the_schur_matrix_does_not_outlive_its_factorization(monkeypatch):
-    # M is read only by its factorization: by the time a direction maps dy
-    # back through A*, and at the next iteration's top, only its factor lives
-    schur, apply_adjoint, refs, dead = _Workspace.schur, _Workspace.apply_adjoint, [], []
+def test_no_schur_matrix_or_factor_outlives_its_iteration(monkeypatch):
+    # M is factored in its own storage, and both the previous factor and a
+    # failed plain factor are dropped before the next M is assembled: when
+    # ws.schur starts, no earlier M and no earlier factor lives, so a solve
+    # holds one m x m array at a time
+    schur, factor_spd, refs, dead = _Workspace.schur, solver._factor_spd, [], []
+    factors = []  # a ref to each factor: the assembled Ms' refs are the rest
 
-    def kept_ref(self, Xs, Sinvs):
+    def checked(self, Xs, Sinvs):
+        dead.append(all(r() is None for r in refs))
         M = schur(self, Xs, Sinvs)
         refs.append(weakref.ref(M))
         return M
 
-    def checked(self, y):
-        if refs:
-            dead.append(all(r() is None for r in refs))
-        return apply_adjoint(self, y)
+    def kept_ref(assemble):
+        L, kept = factor_spd(assemble)
+        factors.append(weakref.ref(L))
+        refs.append(factors[-1])
+        return L, kept
 
-    monkeypatch.setattr(_Workspace, "schur", kept_ref)
-    monkeypatch.setattr(_Workspace, "apply_adjoint", checked)
-    for prog in small_programs() + [knife_edge_program()]:
+    monkeypatch.setattr(_Workspace, "schur", checked)
+    monkeypatch.setattr(solver, "_factor_spd", kept_ref)
+    for prog in small_programs():
         assert solve(prog, LOOSE).status == "optimal"
-    # checked three times per M: in both direction solves and at the next top
-    assert len(dead) > 3 * len(refs) > 100 and all(dead)
+    assert solve(knife_edge_program()).status == "optimal"
+    # each fallback assembles M a second time
+    assert len(dead) > len(factors) > 40 and all(dead)
 
 
 def test_the_unrefined_schur_solve_meets_its_right_hand_side(monkeypatch):
@@ -330,9 +336,17 @@ def test_the_unrefined_schur_solve_meets_its_right_hand_side(monkeypatch):
     factor_spd, cho_solve = solver._factor_spd, sla.cho_solve
     factored, residuals = [], []  # (L, kept, M[kept][:, kept]) per factorization
 
-    def spy_factor(M):
-        L, kept = factor_spd(M)
-        U = np.triu(M)
+    def spy_factor(schur):
+        copies = []
+
+        def copied():
+            # M's storage becomes its factor: keep the triangle it holds first
+            M = schur()
+            copies.append(np.triu(M))
+            return M
+
+        L, kept = factor_spd(copied)
+        U = copies[-1]
         factored.append((L, kept, (U + np.triu(U, 1).T)[kept][:, kept]))
         return L, kept
 
@@ -648,13 +662,13 @@ def test_breakdown_reports_the_steps_taken(monkeypatch, k):
     for site in ("schur", "slack", "direction"):
         calls = []
 
-        def failing(M):
-            calls.append(M)
+        def failing(schur):
+            calls.append(schur)
             if len(calls) < k + 1:
-                return _factor_spd(M)
+                return _factor_spd(schur)
             if site == "schur":
                 raise np.linalg.LinAlgError("no pivot of M is positive")
-            L, kept = _factor_spd(M)
+            L, kept = _factor_spd(schur)
             return np.full_like(L, np.nan), kept
 
         def failing_cholesky(P):
@@ -918,6 +932,27 @@ def test_schur_peaks_a_few_tiles_above_its_matrix(monkeypatch):
     assert peak - M.nbytes < 6 * cap * 8
 
 
+def test_a_solve_peaks_near_one_schur_matrix(monkeypatch):
+    # M is factored in its own storage and the previous factor is gone
+    # before the next M is assembled, so with tiles far smaller than M a
+    # solve holds one m x m array at a time; the copy that a Cholesky of M
+    # would make, or a factor kept into the next assembly, adds a second.
+    # Presolve's row Gram, over the 903 rows before presolve, peaks near
+    # 1.2 m x m and is freed before the first M
+    prog = assemble_hsos(gen_sphere_instance(5, 1), 2, "naive").program
+    m = _presolve(prog)[0][0].shape[0]
+    monkeypatch.setattr(solver, "_CHUNK", 4096)
+    tracemalloc.start()
+    try:
+        base = tracemalloc.get_traced_memory()[0]
+        res = solve(prog, LOOSE)
+        peak = tracemalloc.get_traced_memory()[1] - base
+    finally:
+        tracemalloc.stop()
+    assert res.status == "optimal" and m > 800
+    assert peak < 1.5 * m * m * 8
+
+
 def test_block_slices_act_as_the_stacked_operator():
     # three blocks: apply sums block by block, where the stacked A sums
     # each row in one pass
@@ -1160,11 +1195,23 @@ def test_factor_spd_keeps_the_rank_its_pivots_reveal():
     # a positive definite M keeps every row, with cho_factor's factor to the
     # bit; where the plain Cholesky fails, L L' = M[kept][:, kept] on the
     # pivots up to the revealed rank, and no positive pivot raises
+    def assembly(M):
+        # a fresh copy of M per call, as ws.schur assembles one
+        made = []
+
+        def schur():
+            made.append(M.copy())
+            return made[-1]
+
+        return schur, made
+
     def factored(M):
-        given = M.copy()
-        L, kept = _factor_spd(M)
-        # the factor overwrites a copy only
-        assert np.array_equal(M, given)
+        schur, made = assembly(M)
+        L, kept = _factor_spd(schur)
+        # the factor is the last M assembled, overwritten in place; only
+        # the fallback assembles a second one
+        assert len(made) == (1 if isinstance(kept, slice) else 2)
+        assert np.shares_memory(L, made[-1])
         return np.tril(L), kept
 
     G = np.random.default_rng(26).standard_normal((6, 6))
@@ -1177,10 +1224,10 @@ def test_factor_spd_keeps_the_rank_its_pivots_reveal():
     L, kept = factored(np.diag([1.0, -1.0]))
     assert np.array_equal(kept, [0]) and np.array_equal(L, np.ones((1, 1)))
     for M in (-np.eye(2), np.zeros((2, 2))):
-        given = M.copy()
+        schur, made = assembly(M)
         with pytest.raises(np.linalg.LinAlgError):
-            _factor_spd(M)
-        assert np.array_equal(M, given)
+            _factor_spd(schur)
+        assert len(made) == 2
 
 
 def test_presolve_reports_the_free_columns_it_removes():
