@@ -11,9 +11,9 @@ iteration on the symmetrized complementarity X S = mu I with the dual-scaled
 search direction and a dense Schur complement M for the row multipliers.
 Presolve is its own step ahead of the iteration's workspace: it drops empty
 and dependent rows, then solves each free scalar out of one pivot row, so the
-iteration carries PSD blocks and rows only.  The rows are held once, as each
+iteration carries PSD blocks and rows only.  The rows are held as each
 block's sparse slice over vec(X_b), which the operator, its adjoint and the
-Schur assembly all read.  Only M's upper triangle is assembled and read, by a
+Schur assembly read.  Only M's upper triangle is assembled and read, by a
 Cholesky in M's own storage, or where M is singular to working precision (the
 naive form's degenerate optimal face) by a pivoted Cholesky of M assembled
 afresh, cut at its revealed rank, zero going on the rows it drops; a solve
@@ -36,8 +36,9 @@ its standard-form dual, which has one row per free scalar and none free
 A solve runs its BLAS and LAPACK calls on one thread: numpy and scipy each
 bundle an OpenBLAS with its own thread pool, every iteration alternates
 between the two, and each pool's idle workers spin against the other's
-(about half of every solve on two cores).  Each OpenBLAS mapped into the
-process, as /proc/self/maps lists it, is set to one thread and restored.
+(about half of every solve on two cores).  Each pool is reached through
+the module that links it, numpy's linalg and scipy's LAPACK wrappers, and
+is set to one thread and restored.
 """
 
 from __future__ import annotations
@@ -61,23 +62,13 @@ _TINY = 1e-13
 _CHUNK = 262_144
 
 
-def _openblas() -> list:
-    """Each OpenBLAS mapped into the process that has the thread setter."""
-    try:
-        with open("/proc/self/maps") as fh:
-            maps = [ln.split(None, 5) for ln in fh if "openblas" in ln]
-    except OSError:
-        return []
-    libs = []
-    for path in sorted({fields[-1].strip() for fields in maps}):
-        try:
-            libs.append(ctypes.CDLL(path))
-        except OSError:
-            pass
-    return [lib for lib in libs if hasattr(lib, "openblas_set_num_threads_local")]
-
-
-_OPENBLAS = _openblas()
+# One handle per extension module the solver calls into; a lookup on a
+# module's handle searches the libraries it links, so each finds its OpenBLAS.
+_OPENBLAS = [
+    lib
+    for lib in (ctypes.CDLL(m.__file__) for m in (np.linalg._umath_linalg, sla.cython_lapack))
+    if hasattr(lib, "openblas_set_num_threads_local")
+]
 # The setter is process-wide in the wheels' pthreads builds, so concurrent
 # solves share one save: the first in saves each count, the last out restores.
 _blas_lock, _blas_users, _blas_saved = threading.Lock(), 0, []
@@ -96,7 +87,8 @@ def _one_blas_thread():
         with _blas_lock:
             _blas_users -= 1
             if _blas_users == 0:
-                for lib, n in zip(_OPENBLAS, _blas_saved):
+                # reversed, so an OpenBLAS reached twice ends at its first save
+                for lib, n in reversed(list(zip(_OPENBLAS, _blas_saved))):
                     lib.openblas_set_num_threads_local(n)
 
 
@@ -241,8 +233,9 @@ def _presolve(prog: RealConicProgram):
 
 class _Workspace:
     """What an iteration reads: ``_presolve``'s objective and reduced rows,
-    held once, as each block's column slice of the rows, split by stored
-    entries into the dense and sparse rows of the Schur assembly."""
+    held as each block's column slice of the rows, split by stored entries
+    into the dense and sparse rows of the Schur assembly, the sparse ones
+    also as their own CSR."""
 
     def __init__(self, sizes, A, b, c, row_norms, const):
         self.sizes, self.b, self.m = list(sizes), b, A.shape[0]
@@ -251,7 +244,7 @@ class _Workspace:
         self.C = [c[o:o + n * n].reshape(n, n) for o, n in zip(off, self.sizes)]
 
         # Rows with more than n stored entries are dense (densified per
-        # chunk); the others keep left-aligned, zero-padded entry lists.
+        # chunk); the others keep their CSR and left-aligned, padded entry lists.
         self.blocks = []
         for o, n in zip(off, self.sizes):
             Ab = A[:, o:o + n * n]
@@ -264,7 +257,7 @@ class _Workspace:
             pos = np.zeros((sparse.size, int(nnz[sparse].max(initial=0))), dtype=int)
             coef = np.zeros(pos.shape)
             pos[slot], coef[slot] = Rs.indices, Rs.data
-            self.blocks.append((Ab, dense, sparse, pos // n, pos % n, coef))
+            self.blocks.append((Ab, dense, sparse, Rs, pos // n, pos % n, coef))
 
         self.N = sum(self.sizes) if self.sizes else 1
         self.C_norm = max((float(np.linalg.norm(Cb)) for Cb in self.C), default=0.0)
@@ -289,8 +282,8 @@ class _Workspace:
         """
         M = np.zeros((self.m, self.m))
         for b, n in enumerate(self.sizes):
-            Ab, dense, sparse, p, q, coef = self.blocks[b]
-            X, Sinv, Rs = Xs[b], Sinvs[b], Ab[sparse]
+            Ab, dense, sparse, Rs, p, q, coef = self.blocks[b]
+            X, Sinv = Xs[b], Sinvs[b]
             chunk = max(1, _CHUNK // max(n * n, dense.size + sparse.size))
             for c0 in range(0, dense.size, chunk):
                 cols = slice(c0, c0 + chunk)
@@ -334,13 +327,13 @@ def _independent(G: np.ndarray) -> np.ndarray:
     """Sorted indices of a maximal independent set of a Gram's columns.
 
     Pivoted Cholesky of G scaled to unit diagonal, with a relative rank
-    tolerance of 1e-10; G is overwritten.  Scaled in column chunks, an
-    F-ordered G is factored in place with no m x m temporary.
+    tolerance of 1e-10; G is overwritten.  Scaled one column at a time, an
+    F-ordered G is factored in place with no temporary wider than a column.
     """
     d = np.sqrt(np.diag(G))
     d[d == 0.0] = 1.0
-    for c in range(0, len(d), 64):
-        G[:, c:c + 64] /= np.outer(d, d[c:c + 64])
+    for c, dc in enumerate(d):
+        G[:, c] /= d * dc
     _, piv, rank, _ = sla.lapack.dpstrf(G, tol=1e-10, lower=1, overwrite_a=True)
     return np.sort(piv[:rank] - 1)
 

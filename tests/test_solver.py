@@ -5,6 +5,7 @@ checked against its planted construction and a second solve from perturbed
 stepping, never against the solver's own first answer.
 """
 
+import ctypes
 import sys
 import threading
 import tracemalloc
@@ -13,6 +14,7 @@ from collections import defaultdict
 
 import numpy as np
 import pytest
+import scipy
 import scipy.linalg as sla
 import scipy.sparse as sp
 
@@ -407,6 +409,44 @@ def test_solve_runs_blas_on_one_thread_and_restores_the_callers_count(monkeypatc
         solve(max_corner_program())
     assert blas_threads() == caller
     assert inside == [[1] * len(caller)] * 3
+
+
+def setter(lib):
+    return ctypes.cast(lib.openblas_set_num_threads_local, ctypes.c_void_p).value
+
+
+SCIPY_OPENBLAS_ON_LINUX = sys.platform == "linux" and all(
+    cfg(mode="dicts")["Build Dependencies"]["blas"]["name"] == "scipy-openblas"
+    for cfg in (np.show_config, scipy.show_config)
+)
+
+
+@pytest.mark.skipif(
+    not SCIPY_OPENBLAS_ON_LINUX, reason="needs Linux and scipy-openblas wheels"
+)
+def test_each_module_handle_reaches_an_openblas_the_process_maps():
+    # the oracle: every file named openblas that /proc/self/maps lists and
+    # that has the setter, each wheel's bundled library on its own
+    with open("/proc/self/maps") as fh:
+        paths = sorted({ln.split(None, 5)[-1].strip() for ln in fh if "openblas" in ln})
+    mapped = [ctypes.CDLL(p) for p in paths]
+    mapped = [lib for lib in mapped if hasattr(lib, "openblas_set_num_threads_local")]
+    assert len(mapped) == 2
+    assert sorted(map(setter, solver._OPENBLAS)) == sorted(map(setter, mapped))
+
+
+@pytest.mark.skipif(not solver._OPENBLAS, reason="no OpenBLAS with the thread setter")
+def test_an_openblas_reached_twice_is_restored_to_the_callers_count(monkeypatch):
+    # numpy and scipy linking one OpenBLAS: the second save reads the first's
+    # 1, so only a restore in reverse order ends at the caller's count
+    lib = solver._OPENBLAS[0]
+    saved = lib.openblas_set_num_threads_local(2)
+    try:
+        monkeypatch.setattr(solver, "_OPENBLAS", [lib, lib])
+        assert solve(max_corner_program()).status == "optimal"
+        assert blas_threads() == [2, 2]
+    finally:
+        lib.openblas_set_num_threads_local(saved)
 
 
 def test_overlapping_solves_in_two_threads_restore_the_callers_count(monkeypatch):
@@ -938,7 +978,7 @@ def test_a_solve_peaks_near_one_schur_matrix(monkeypatch):
     # solve holds one m x m array at a time; the copy that a Cholesky of M
     # would make, or a factor kept into the next assembly, adds a second.
     # Presolve's row Gram, over the 903 rows before presolve, peaks near
-    # 1.2 m x m and is freed before the first M
+    # 1.12 m x m and is freed before the first M
     prog = assemble_hsos(gen_sphere_instance(5, 1), 2, "naive").program
     m = _presolve(prog)[0][0].shape[0]
     monkeypatch.setattr(solver, "_CHUNK", 4096)
@@ -951,6 +991,23 @@ def test_a_solve_peaks_near_one_schur_matrix(monkeypatch):
         tracemalloc.stop()
     assert res.status == "optimal" and m > 800
     assert peak < 1.5 * m * m * 8
+
+
+@pytest.mark.parametrize("seed", [0, 1])
+def test_presolve_peaks_near_its_row_gram(monkeypatch, seed):
+    # the 903 x 903 row Gram is 1.087 m x m, and scaling it one column at a
+    # time adds no temporary wider than a column
+    prog = assemble_hsos(gen_sphere_instance(5, seed), 2, "naive").program
+    monkeypatch.setattr(solver, "_CHUNK", 4096)
+    tracemalloc.start()
+    try:
+        base = tracemalloc.get_traced_memory()[0]
+        m = _presolve(prog)[0][0].shape[0]
+        peak = tracemalloc.get_traced_memory()[1] - base
+    finally:
+        tracemalloc.stop()
+    assert prog.n_rows == 903 and m > 800
+    assert peak < 1.15 * m * m * 8
 
 
 def test_block_slices_act_as_the_stacked_operator():
@@ -975,7 +1032,8 @@ def test_block_slices_act_as_the_stacked_operator():
 def test_workspace_keeps_one_copy_of_the_rows(form):
     # one block whose data rows are dense, so a second copy of them would
     # double what the workspace keeps; naive's structural rows are sparse,
-    # and their Schur entry lists (24 bytes an entry) come on top
+    # and their own CSR and Schur entry lists (12 and 24 bytes an entry)
+    # come on top
     prog = form(planted_sdp(np.random.default_rng(32), 16, 64)[0])
     A = _presolve(prog)[0][0]
     rows = A.data.nbytes + A.indices.nbytes + A.indptr.nbytes
